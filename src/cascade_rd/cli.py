@@ -110,19 +110,31 @@ class Param:
         return self.name.replace("-", "_")
 
 
+def _coerce(p: Param, text, where: str = ""):
+    """`text` as the parameter's kind; bad or non-finite numbers are refused."""
+    try:
+        value = p.kind(text)
+    except ValueError as exc:
+        raise ConfigError(f"{where}bad value for '{p.name}': {exc}") from None
+    if p.kind is float and not math.isfinite(value):
+        raise ConfigError(f"{where}'{p.name}' must be finite, got {text!r}")
+    return value
+
+
 def _parse_sweep(spec: str, params):
+    """(dest, values) of a sweep, each value cast to the swept flag's kind."""
     parts = spec.split(":")
     if len(parts) != 5:
         raise ConfigError("sweep must be 'param:lin|log:min:max:steps'")
     name, scale, lo, hi, steps = parts
-    numeric = {p.name for p in params if p.kind in (float, int)}
+    numeric = {p.name: p for p in params if p.kind in (float, int)}
     if name not in numeric:
         raise ConfigError(f"sweep parameter {name!r} not a numeric parameter "
                           f"of this command (have {sorted(numeric)})")
     if scale not in ("lin", "log"):
         raise ConfigError(f"sweep scale must be lin or log, got {scale!r}")
-    lo, hi = float(lo), float(hi)
-    steps = int(steps)
+    lo, hi = (_coerce(Param(name, float), t, "sweep: ") for t in (lo, hi))
+    steps = _coerce(Param("steps", int), steps, "sweep: ")
     if steps < 1:
         raise ConfigError("sweep needs at least one step")
     if steps == 1:
@@ -133,7 +145,13 @@ def _parse_sweep(spec: str, params):
         if lo <= 0 or hi <= 0:
             raise ConfigError("log sweep bounds must be positive")
         values = np.geomspace(lo, hi, steps)
-    return name.replace("-", "_"), values
+    if numeric[name].kind is float:
+        return name.replace("-", "_"), [float(v) for v in values]
+    ints = np.round(values)
+    if np.any(np.abs(values - ints) > 1e-9 * np.maximum(1.0, np.abs(values))):
+        raise ConfigError(f"sweep of integer flag '{name}' reaches non-integer "
+                          f"values: {', '.join('%g' % v for v in values)}")
+    return name.replace("-", "_"), [int(v) for v in ints]
 
 
 def _resolve(args, params, swept: str | None = None):
@@ -153,18 +171,11 @@ def _resolve(args, params, swept: str | None = None):
     for p in params:
         flag_val = getattr(args, p.dest)
         if flag_val is not None:
-            values[p.dest] = p.kind(flag_val)
-            continue
-        if p.name in cfg:
+            values[p.dest] = _coerce(p, flag_val)
+        elif p.name in cfg:
             text, lineno = cfg[p.name]
-            try:
-                values[p.dest] = p.kind(text)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{args.config}:{lineno}: bad value for {p.name!r}: {exc}"
-                ) from exc
-            continue
-        if p.default is not None:
+            values[p.dest] = _coerce(p, text, f"{args.config}:{lineno}: ")
+        elif p.default is not None:
             values[p.dest] = p.default
         elif p.required and p.dest != swept:
             raise ConfigError(f"missing required parameter '{p.name}'")
@@ -183,11 +194,8 @@ def _config_hash(command, values, seed) -> str:
 
 def _run_points(command, args, params, in_cols, out_cols, compute):
     """Shared driver: resolve params, expand the sweep, evaluate each point."""
-    sweep_cells = [(None, [None])]
-    if args.sweep:
-        dest, vals = _parse_sweep(args.sweep, params)
-        sweep_cells = [(dest, vals)]
-    values = _resolve(args, params, swept=sweep_cells[0][0])
+    dest, vals = _parse_sweep(args.sweep, params) if args.sweep else (None, [None])
+    values = _resolve(args, params, swept=dest)
     seed = int(args.seed)
     table = ResultTable(
         columns=in_cols + out_cols + ["status", "detail"],
@@ -198,11 +206,10 @@ def _run_points(command, args, params, in_cols, out_cols, compute):
             "config-hash": _config_hash(command, values, seed),
         },
     )
-    dest, vals = sweep_cells[0]
     for v in vals:
         point = dict(values)
         if dest is not None:
-            point[dest] = float(v)
+            point[dest] = v
         row = {c: point.get(c) for c in in_cols}
         try:
             row.update(compute(point, seed))

@@ -6,10 +6,10 @@ settings; the search optimizes the cascade bound over auxiliaries by
 alternating exponentiated-gradient / Blahut-Arimoto / best-response rounds,
 validated against a quantized-simplex enumeration oracle.
 
-Joint arrays follow a fixed axis discipline: source variables (X, Y, Z)
-first, then the auxiliaries in generation order, reconstruction last. Keeping
-the relative order identical across settings makes the degenerate reductions
-(constant V, constant U2, constant helper) exact down to the last bit.
+Each setting is data (`_SETTINGS`): the axes of its joint pmf, the auxiliary
+channels that multiply the source into that joint, its rate terms and its
+distortion terms. One evaluator, `_evaluate`, validates and evaluates them
+all on top of the information core in `probability`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import FactorizationError, InfeasibleError, ResourceLimitError
 from .probability import CondPMF, DeterministicMap, JointPMF, check_markov_chain
-
-MARKOV_TOL = 1e-8
+from .probability import cmi as _cmi, joint as _joint, marginal as _marginal
+from .probability import read_blocks, table_entropy, write_block
 
 
 @dataclass(frozen=True)
@@ -106,62 +106,144 @@ class RegionPoint:
     d3: float | None = None
 
 
-# ----------------------------------------------------------- raw-array helpers
+# ------------------------------------------------------------------ settings
+# Every setting is data over one joint pmf, the source times its channels:
+#   axes     source (X, Y, Z), auxiliaries in generation order, relay
+#            reconstruction last; one relative order for all settings keeps
+#            the degenerate reductions exact down to the last bit
+#   factors  channel -> its axes, output last; multiplied in this order
+#   maps     reconstruction map -> its input axes, in the map table's order
+#   rates    bound -> "A | B | C" for I(A; B | C)
+#   dists    distortion -> "source reconstruction", the latter an axis or a map
+#   budgets  auxiliary axis -> its cardinality bound, given the axis sizes
 
 
-def _table_entropy(t: np.ndarray) -> float:
-    p = t.ravel()
-    nz = p > 0.0
-    return float(-(p[nz] * np.log2(p[nz])).sum())
+class _Setting:
+    """One setting's table, compiled to joint axis indices."""
+
+    def __init__(self, axes, factors, maps, rates, dists, budgets):
+        ax = {a: i for i, a in enumerate(axes.split())}
+
+        def idx(names):
+            return tuple(ax[a] for a in names.split())
+
+        self.ndim, self.budgets = len(ax), budgets
+        self.factors = {f: a.split() for f, a in factors.items()}
+        self.maps = {g: a.split() for g, a in maps.items()}
+        self.factor_axes = ((0, 1, 2),) + tuple(idx(a) for a in factors.values())
+        self.rates = [(r, *map(idx, spec.split("|"))) for r, spec in rates.items()]
+        self.dists = {d: spec.split() for d, spec in dists.items()}
+        self.terms = []  # (distortion, marginal axes, reconstruction, perm, post)
+        for d, (source, recon) in self.dists.items():
+            if recon in ax:  # a joint axis, read directly
+                self.terms.append((d, (ax[source], ax[recon]), ax[recon], None, None))
+                continue
+            inputs = idx(maps[recon])
+            keep = tuple(sorted({ax[source], *inputs}))
+            pos = keep.index(ax[source])
+            # table[:, g] puts the source axis first; move it to its joint place
+            post = (*range(1, pos + 1), 0, *range(pos + 1, len(keep))) if pos else None
+            perm = tuple(sorted(range(len(inputs)), key=inputs.__getitem__))
+            self.terms.append((d, keep, recon, perm, post))
+
+    def joint(self, tables):
+        """Joint pmf of the source pmf and the factor tables, in factor order."""
+        return _joint(self.ndim, *zip(tables, self.factor_axes))
+
+    def evaluate(self, tables, maps, dists):
+        """Rates and distortions of raw tables by name, no validation."""
+        joint = self.joint(tables)
+        out = {r: _cmi(joint, a, b, c) for r, a, b, c in self.rates}
+        for d, keep, recon, perm, post in self.terms:
+            if perm is None:
+                sel = dists[d][:, : joint.shape[recon]]
+            else:
+                sel = dists[d][:, maps[recon].transpose(perm)]
+                sel = sel if post is None else sel.transpose(post)
+            out[d] = float((_marginal(joint, keep) * sel).sum())
+        return out
 
 
-def _marg(joint: np.ndarray, keep) -> np.ndarray:
-    drop = tuple(i for i in range(joint.ndim) if i not in set(keep))
-    return joint.sum(axis=drop) if drop else joint
-
-
-def _cmi(joint: np.ndarray, a, b, c=()) -> float:
-    a, b, c = tuple(a), tuple(b), tuple(c)
-    # a constant variable carries no information, identically
-    if all(joint.shape[i] == 1 for i in a) or all(joint.shape[i] == 1 for i in b):
-        return 0.0
-    h_ac = _table_entropy(_marg(joint, a + c))
-    h_bc = _table_entropy(_marg(joint, b + c))
-    h_abc = _table_entropy(_marg(joint, a + b + c))
-    h_c = _table_entropy(_marg(joint, c)) if c else 0.0
-    return max(0.0, h_ac + h_bc - h_abc - h_c)
-
-
-def _require(aux: AuxiliarySystem, names) -> None:
-    missing = [n for n in names if getattr(aux, n) is None]
-    if missing:
-        raise ValueError(f"auxiliary system is missing {missing} for this setting")
-
-
-def _check_shape(cond: CondPMF, in_sizes, what: str) -> None:
-    if cond.input_sizes != tuple(in_sizes):
-        raise ValueError(
-            f"{what} conditioning has shape {cond.input_sizes}, expected {tuple(in_sizes)}"
-        )
-
-
-def _check_map(gmap: DeterministicMap, in_sizes, out_size: int, what: str) -> None:
-    if gmap.input_sizes != tuple(in_sizes) or gmap.output_size != out_size:
-        raise ValueError(
-            f"{what} must map {tuple(in_sizes)} onto {out_size} symbols, "
-            f"got {gmap.input_sizes} -> {gmap.output_size}"
-        )
-
-
-def _check_source(src: SourceSpec) -> None:
-    dev = check_markov_chain(src.pmf, ([0], [1], [2]))
-    if dev > MARKOV_TOL:
-        raise FactorizationError(f"source Markov deviation {dev:g} exceeds {MARKOV_TOL:g}")
+_SETTINGS = {
+    "cascade": _Setting(
+        axes="X Y Z U Xhat1",
+        factors={"p_u": "X Y U", "p_xhat1": "X Y U Xhat1"},
+        maps={"g2": "U Z"},
+        rates={"r1": "X | Xhat1 U | Y", "r2": "U | X Y | Z"},
+        dists={"d1": "X Xhat1", "d2": "X g2"},
+        budgets={"U": lambda n: n["X"] * n["Y"] + 3}),
+    "triangular": _Setting(
+        axes="X Y Z U V Xhat1",
+        factors={"p_u": "X Y U", "p_v": "X Y U V", "p_xhat1": "X Y U Xhat1"},
+        maps={"g2": "U V Z"},
+        rates={"r1": "X | Xhat1 U | Y", "r2": "U | X Y | Z", "r3": "V | X Y | U Z"},
+        dists={"d1": "X Xhat1", "d2": "X g2"},
+        budgets={"U": lambda n: n["X"] * n["Y"] + 4,
+                 "V": lambda n: (n["X"] * n["Y"] + 4) * (n["X"] * n["Y"] + 1)}),
+    "two-way-cascade": _Setting(
+        axes="X Y Z U1 U2 Xhat1",
+        factors={"p_u": "X Y U1", "p_u2": "Z U1 U2", "p_xhat1": "X Y U1 Xhat1"},
+        maps={"g2": "U1 Z", "g3": "U1 U2 X Y"},
+        rates={"r1": "X | Xhat1 U1 | Y", "r2": "U1 | X Y | Z", "r3": "U2 | Z | U1 X Y"},
+        dists={"d1": "X Xhat1", "d2": "X g2", "d3": "Z g3"},
+        budgets={"U1": lambda n: n["X"] * n["Y"] + 5,
+                 "U2": lambda n: n["U1"] * (n["Z"] + 1)}),
+    "two-way-triangular": _Setting(
+        axes="X Y Z U1 V U2 Xhat1",
+        factors={"p_u": "X Y U1", "p_v": "X Y U1 V", "p_u2": "Z U1 V U2",
+                 "p_xhat1": "X Y U1 Xhat1"},
+        maps={"g2": "U1 V Z", "g3": "U1 U2 V X Y"},
+        rates={"r1": "X | Xhat1 U1 | Y", "r2": "U1 | X Y | Z", "r3": "V | X Y | Z U1",
+               "r4": "U2 | Z | U1 V X Y"},
+        dists={"d1": "X Xhat1", "d2": "X g2", "d3": "Z g3"},
+        budgets={"U1": lambda n: n["X"] * n["Y"] + 6,
+                 "V": lambda n: n["U1"] * (n["X"] * n["Y"] + 3),
+                 "U2": lambda n: n["U1"] * n["V"] * (n["Z"] + 1)}),
+    "helper": _Setting(
+        axes="X Y Z Uh U1 U2 Xhat1",
+        factors={"p_uh": "Y Uh", "p_u": "X Y Uh U1", "p_v": "X Y Uh U1 U2",
+                 "p_xhat1": "X Y Uh U1 Xhat1"},
+        maps={"g2": "U1 U2 Uh Z"},
+        rates={"r1": "X | Xhat1 U1 | Y Uh", "r2": "U1 | X Y | Z Uh",
+               "r3": "U2 | X Y | U1 Uh Z", "rh": "Uh | Y | Z"},
+        dists={"d1": "X Xhat1", "d2": "X g2"},
+        budgets={}),
+}
+_CASCADE = _SETTINGS["cascade"]
 
 
 def _budget(limit: int, size: int, what: str) -> None:
     if size > limit:
         raise ValueError(f"|{what}| = {size} exceeds the cardinality budget {limit}")
+
+
+def _evaluate(setting: str, src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
+    """Check `aux` against the setting's table, then evaluate it exactly."""
+    s = _SETTINGS[setting]
+    missing = [f for f in (*s.factors, *s.maps) if getattr(aux, f) is None]
+    if missing:
+        raise ValueError(f"auxiliary system is missing {missing} for this setting")
+    if "d3" in s.dists and src.d3 is None:
+        raise ValueError("two-way settings need the d3 distortion table")
+    dists = {"d1": src.d1, "d2": src.d2, "d3": src.d3}
+    n = dict(zip("XYZ", src.pmf.sizes))  # axis name -> alphabet size
+    n.update((axes[-1], getattr(aux, f).output_size) for f, axes in s.factors.items())
+    for axis, bound in s.budgets.items():
+        _budget(bound(n), n[axis], axis)
+    for f, axes in s.factors.items():
+        got, want = getattr(aux, f).input_sizes, tuple(n[a] for a in axes[:-1])
+        if got != want:
+            raise ValueError(f"{f} conditioning has shape {got}, expected {want}")
+    for d, (_, g) in s.dists.items():
+        if g in s.maps:
+            got = (getattr(aux, g).input_sizes, getattr(aux, g).output_size)
+            want = (tuple(n[a] for a in s.maps[g]), dists[d].shape[1])
+            if got != want:
+                raise ValueError("%s must map %s onto %d symbols, got %s -> %d"
+                                 % (g, *want, *got))
+    tables = (src.pmf.probs,) + tuple(getattr(aux, f).table for f in s.factors)
+    maps = {g: getattr(aux, g).table for g in s.maps}
+    return RegionPoint(**s.evaluate(tables, maps, dists))
 
 
 # -------------------------------------------------------------- point evaluators
@@ -174,57 +256,12 @@ def eval_cascade_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
     R1 = I(X; Xhat1, U | Y), R2 = I(U; X, Y | Z) and both expected
     distortions with xhat2 = g2(u, z).
     """
-    _check_source(src)
-    _require(aux, ("p_u", "p_xhat1", "g2"))
-    nx, ny, nz = src.pmf.sizes
-    nu = aux.p_u.output_size
-    _budget(nx * ny + 3, nu, "U")
-    _check_shape(aux.p_u, (nx, ny), "p_u")
-    _check_shape(aux.p_xhat1, (nx, ny, nu), "p_xhat1")
-    _check_map(aux.g2, (nu, nz), src.d2.shape[1], "g2")
-
-    # axes (X, Y, Z, U, Xhat1)
-    joint = (
-        src.pmf.probs[:, :, :, None, None]
-        * aux.p_u.table[:, :, None, :, None]
-        * aux.p_xhat1.table[:, :, None, :, :]
-    )
-    r1 = _cmi(joint, (0,), (4, 3), (1,))
-    r2 = _cmi(joint, (3,), (0, 1), (2,))
-    d1v = float((_marg(joint, (0, 4)) * src.d1[:, : aux.p_xhat1.output_size]).sum())
-    m_xzu = _marg(joint, (0, 2, 3))  # (X, Z, U)
-    d2v = float((m_xzu * src.d2[:, aux.g2.table.T]).sum())
-    return RegionPoint(r1=r1, r2=r2, d1=d1v, d2=d2v)
+    return _evaluate("cascade", src, aux)
 
 
 def eval_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
     """Adds the refinement description V: p_v = p(v|x,y,u), g2 on (U, V, Z)."""
-    _check_source(src)
-    _require(aux, ("p_u", "p_xhat1", "p_v", "g2"))
-    nx, ny, nz = src.pmf.sizes
-    nu = aux.p_u.output_size
-    nv = aux.p_v.output_size
-    _budget(nx * ny + 4, nu, "U")
-    _budget((nx * ny + 4) * (nx * ny + 1), nv, "V")
-    _check_shape(aux.p_u, (nx, ny), "p_u")
-    _check_shape(aux.p_v, (nx, ny, nu), "p_v")
-    _check_shape(aux.p_xhat1, (nx, ny, nu), "p_xhat1")
-    _check_map(aux.g2, (nu, nv, nz), src.d2.shape[1], "g2")
-
-    # axes (X, Y, Z, U, V, Xhat1)
-    joint = (
-        src.pmf.probs[:, :, :, None, None, None]
-        * aux.p_u.table[:, :, None, :, None, None]
-        * aux.p_v.table[:, :, None, :, :, None]
-        * aux.p_xhat1.table[:, :, None, :, None, :]
-    )
-    r1 = _cmi(joint, (0,), (5, 3), (1,))
-    r2 = _cmi(joint, (3,), (0, 1), (2,))
-    r3 = _cmi(joint, (4,), (0, 1), (3, 2))
-    d1v = float((_marg(joint, (0, 5)) * src.d1[:, : aux.p_xhat1.output_size]).sum())
-    m = _marg(joint, (0, 2, 3, 4))  # (X, Z, U, V)
-    d2v = float((m * src.d2[:, aux.g2.table.transpose(2, 0, 1)]).sum())
-    return RegionPoint(r1=r1, r2=r2, r3=r3, d1=d1v, d2=d2v)
+    return _evaluate("triangular", src, aux)
 
 
 def eval_two_way_cascade_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
@@ -233,39 +270,7 @@ def eval_two_way_cascade_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionP
     The returned r3 is the backward-rate bound I(U2; Z | U1, X, Y); d3 is the
     expected backward distortion with zhat = g3(u1, u2, x, y).
     """
-    _check_source(src)
-    _require(aux, ("p_u", "p_xhat1", "p_u2", "g2", "g3"))
-    if src.d3 is None:
-        raise ValueError("two-way settings need the d3 distortion table")
-    nx, ny, nz = src.pmf.sizes
-    nu = aux.p_u.output_size
-    nu2 = aux.p_u2.output_size
-    _budget(nx * ny + 5, nu, "U1")
-    _budget(nu * (nz + 1), nu2, "U2")
-    _check_shape(aux.p_u, (nx, ny), "p_u")
-    _check_shape(aux.p_xhat1, (nx, ny, nu), "p_xhat1")
-    _check_shape(aux.p_u2, (nz, nu), "p_u2")
-    _check_map(aux.g2, (nu, nz), src.d2.shape[1], "g2")
-    _check_map(aux.g3, (nu, nu2, nx, ny), src.d3.shape[1], "g3")
-
-    # axes (X, Y, Z, U1, U2, Xhat1)
-    joint = (
-        src.pmf.probs[:, :, :, None, None, None]
-        * aux.p_u.table[:, :, None, :, None, None]
-        * aux.p_u2.table[None, None, :, :, :, None]
-        * aux.p_xhat1.table[:, :, None, :, None, :]
-    )
-    r1 = _cmi(joint, (0,), (5, 3), (1,))
-    r2 = _cmi(joint, (3,), (0, 1), (2,))
-    r3 = _cmi(joint, (4,), (2,), (3, 0, 1))
-    d1v = float((_marg(joint, (0, 5)) * src.d1[:, : aux.p_xhat1.output_size]).sum())
-    m_xzu = _marg(joint, (0, 2, 3))
-    d2v = float((m_xzu * src.d2[:, aux.g2.table.T]).sum())
-    m = _marg(joint, (0, 1, 2, 3, 4))  # (X, Y, Z, U1, U2)
-    zhat = aux.g3.table.transpose(2, 3, 0, 1)  # (X, Y, U1, U2)
-    d3sel = src.d3[:, zhat]  # (Z, X, Y, U1, U2)
-    d3v = float((m * d3sel.transpose(1, 2, 0, 3, 4)).sum())
-    return RegionPoint(r1=r1, r2=r2, r3=r3, d1=d1v, d2=d2v, d3=d3v)
+    return _evaluate("two-way-cascade", src, aux)
 
 
 def eval_two_way_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
@@ -273,44 +278,7 @@ def eval_two_way_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> Regi
 
     p_u2 = p(u2|z,u1,v); g2 on (U1, V, Z); g3 on (U1, U2, V, X, Y).
     """
-    _check_source(src)
-    _require(aux, ("p_u", "p_xhat1", "p_v", "p_u2", "g2", "g3"))
-    if src.d3 is None:
-        raise ValueError("two-way settings need the d3 distortion table")
-    nx, ny, nz = src.pmf.sizes
-    nu = aux.p_u.output_size
-    nv = aux.p_v.output_size
-    nu2 = aux.p_u2.output_size
-    _budget(nx * ny + 6, nu, "U1")
-    _budget(nu * (nx * ny + 3), nv, "V")
-    _budget(nu * nv * (nz + 1), nu2, "U2")
-    _check_shape(aux.p_u, (nx, ny), "p_u")
-    _check_shape(aux.p_v, (nx, ny, nu), "p_v")
-    _check_shape(aux.p_xhat1, (nx, ny, nu), "p_xhat1")
-    _check_shape(aux.p_u2, (nz, nu, nv), "p_u2")
-    _check_map(aux.g2, (nu, nv, nz), src.d2.shape[1], "g2")
-    _check_map(aux.g3, (nu, nu2, nv, nx, ny), src.d3.shape[1], "g3")
-
-    # axes (X, Y, Z, U1, V, U2, Xhat1)
-    joint = (
-        src.pmf.probs[:, :, :, None, None, None, None]
-        * aux.p_u.table[:, :, None, :, None, None, None]
-        * aux.p_v.table[:, :, None, :, :, None, None]
-        * aux.p_u2.table[None, None, :, :, :, :, None]
-        * aux.p_xhat1.table[:, :, None, :, None, None, :]
-    )
-    r1 = _cmi(joint, (0,), (6, 3), (1,))
-    r2 = _cmi(joint, (3,), (0, 1), (2,))
-    r3 = _cmi(joint, (4,), (0, 1), (2, 3))
-    r4 = _cmi(joint, (5,), (2,), (3, 4, 0, 1))
-    d1v = float((_marg(joint, (0, 6)) * src.d1[:, : aux.p_xhat1.output_size]).sum())
-    m2 = _marg(joint, (0, 2, 3, 4))  # (X, Z, U1, V)
-    d2v = float((m2 * src.d2[:, aux.g2.table.transpose(2, 0, 1)]).sum())
-    m3 = _marg(joint, (0, 1, 2, 3, 4, 5))  # (X, Y, Z, U1, V, U2)
-    zhat = aux.g3.table.transpose(3, 4, 0, 2, 1)  # (X, Y, U1, V, U2)
-    d3sel = src.d3[:, zhat]  # (Z, X, Y, U1, V, U2)
-    d3v = float((m3 * d3sel.transpose(1, 2, 0, 3, 4, 5)).sum())
-    return RegionPoint(r1=r1, r2=r2, r3=r3, r4=r4, d1=d1v, d2=d2v, d3=d3v)
+    return _evaluate("two-way-triangular", src, aux)
 
 
 def eval_helper_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
@@ -320,36 +288,7 @@ def eval_helper_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> Regio
     forward refinement intended for the terminal node rides in p_v as
     p(u2|x,y,uh,u1); g2 on (U1, U2, Uh, Z). Returns (r1, r2, r3, rh).
     """
-    _check_source(src)
-    _require(aux, ("p_uh", "p_u", "p_xhat1", "p_v", "g2"))
-    nx, ny, nz = src.pmf.sizes
-    nuh = aux.p_uh.output_size
-    _check_shape(aux.p_uh, (ny,), "p_uh")
-    nu = aux.p_u.output_size
-    _check_shape(aux.p_u, (nx, ny, nuh), "p_u")
-    nu2 = aux.p_v.output_size
-    _check_shape(aux.p_v, (nx, ny, nuh, nu), "p_v")
-    _check_shape(aux.p_xhat1, (nx, ny, nuh, nu), "p_xhat1")
-    _check_map(aux.g2, (nu, nu2, nuh, nz), src.d2.shape[1], "g2")
-
-    # axes (X, Y, Z, Uh, U1, U2, Xhat1)
-    joint = (
-        src.pmf.probs[:, :, :, None, None, None, None]
-        * aux.p_uh.table[None, :, None, :, None, None, None]
-        * aux.p_u.table[:, :, None, :, :, None, None]
-        * aux.p_v.table[:, :, None, :, :, :, None]
-        * aux.p_xhat1.table[:, :, None, :, :, None, :]
-    )
-    r1 = _cmi(joint, (0,), (6, 4), (1, 3))
-    r2 = _cmi(joint, (4,), (0, 1), (2, 3))
-    r3 = _cmi(joint, (5,), (0, 1), (4, 3, 2))
-    rh = _cmi(joint, (3,), (1,), (2,))
-    d1v = float((_marg(joint, (0, 6)) * src.d1[:, : aux.p_xhat1.output_size]).sum())
-    m = _marg(joint, (0, 2, 3, 4, 5))  # (X, Z, Uh, U1, U2)
-    xhat2 = aux.g2.table.transpose(2, 3, 0, 1)  # (Uh, Z, U1, U2)
-    d2sel = src.d2[:, xhat2]  # (X, Uh, Z, U1, U2)
-    d2v = float((m * d2sel.transpose(0, 2, 1, 3, 4)).sum())
-    return RegionPoint(r1=r1, r2=r2, r3=r3, rh=rh, d1=d1v, d2=d2v)
+    return _evaluate("helper", src, aux)
 
 
 # ------------------------------------------------------------- cascade search
@@ -357,22 +296,13 @@ def eval_helper_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> Regio
 
 def _cascade_quantities(pxyz, p_u, p_xhat1, g2_table, d1, d2):
     """(r1, r2, d1, d2) of a raw cascade parameterization, no validation."""
-    joint = (
-        pxyz[:, :, :, None, None]
-        * p_u[:, :, None, :, None]
-        * p_xhat1[:, :, None, :, :]
-    )
-    r1 = _cmi(joint, (0,), (4, 3), (1,))
-    r2 = _cmi(joint, (3,), (0, 1), (2,))
-    d1v = float((_marg(joint, (0, 4)) * d1[:, : p_xhat1.shape[-1]]).sum())
-    m_xzu = _marg(joint, (0, 2, 3))
-    d2v = float((m_xzu * d2[:, g2_table.T]).sum())
-    return r1, r2, d1v, d2v
+    q = _CASCADE.evaluate((pxyz, p_u, p_xhat1), {"g2": g2_table}, {"d1": d1, "d2": d2})
+    return q["r1"], q["r2"], q["d1"], q["d2"]
 
 
 def _g2_best_response(pxyz, p_u, d2):
     """Distortion-minimizing terminal map; ties go to the lowest index."""
-    m_xzu = (pxyz[:, :, :, None] * p_u[:, :, None, :]).sum(axis=1)  # (X, Z, U)
+    m_xzu = _joint(4, (pxyz, (0, 1, 2)), (p_u, (0, 1, 3))).sum(axis=1)  # (X, Z, U)
     cost = np.einsum("xzu,xh->uzh", m_xzu, d2)
     return np.argmin(cost, axis=-1)  # (U, Z)
 
@@ -464,7 +394,7 @@ def _blend_to_rate(pxyz, p_u, cap):
 
     def rate(t):
         mixed = (1.0 - t) * p_u + t * marg[None, None, :]
-        joint = pxyz[:, :, :, None] * mixed[:, :, None, :]
+        joint = _joint(4, (pxyz, (0, 1, 2)), (mixed, (0, 1, 3)))
         return _cmi(joint, (3,), (0, 1), (2,)), mixed
 
     r0, _ = rate(0.0)
@@ -501,7 +431,6 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
     under a x10-per-round penalty schedule; multi-start with per-restart
     seeds, best feasible restart wins (lowest index on ties).
     """
-    _check_source(src)
     nx, ny, nz = src.pmf.sizes
     _budget(nx * ny + 3, u_size, "U")
     if d2_target <= 0 or d1_target < 0 or r2_budget < 0:
@@ -543,7 +472,6 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
     xhat1_const = _xhat1_rd_solve(pxyz, p_u_const, src.d1, n_hat1, d1_target)
     consider(p_u_const, xhat1_const, g2_const)
 
-    rng = np.random.default_rng(seed)
     for restart in range(restarts):
         rng_r = np.random.default_rng(np.random.SeedSequence(entropy=seed,
                                                              spawn_key=(restart,)))
@@ -665,7 +593,6 @@ def brute_force_region_oracle(src: SourceSpec, u_size: int, resolution: int):
     the best response. resolution=1 is the uninformative anchor (constant U,
     best-constant reconstructions) only. Deterministic enumeration order.
     """
-    _check_source(src)
     nx, ny, nz = src.pmf.sizes
     if nx > 2 or ny > 2 or nz > 2:
         raise ResourceLimitError("oracle is limited to binary source alphabets")
@@ -718,7 +645,7 @@ def _enumerate_oracle_points(src: SourceSpec, u_size: int, resolution: int):
 
     for combo in itertools.product(range(len(rows)), repeat=n_rows):
         p_u = rows[list(combo)].reshape(nx, ny, u_size)
-        joint_u = pxyz[:, :, :, None] * p_u[:, :, None, :]  # (X, Y, Z, U)
+        joint_u = _joint(4, (pxyz, (0, 1, 2)), (p_u, (0, 1, 3)))
         r1_base = _cmi(joint_u, (0,), (3,), (1,))
         r2 = _cmi(joint_u, (3,), (0, 1), (2,))
         g2 = _g2_best_response(pxyz, p_u, src.d2)
@@ -744,7 +671,7 @@ def _cmi_fx(joint_u, sel, n_hat1):
     m_cyu = np.zeros((n_hat1,) + m_xyu.shape[1:])
     for x in range(nx):
         m_cyu[sel[x]] += m_xyu[x]
-    h_c_uy = _table_entropy(m_cyu) - _table_entropy(m_xyu.sum(axis=0))
+    h_c_uy = table_entropy(m_cyu) - table_entropy(m_xyu.sum(axis=0))
     return max(0.0, h_c_uy)
 
 
@@ -769,67 +696,20 @@ def _pareto_min(points: np.ndarray):
 # --------------------------------------------------------------- serialization
 
 
-def _blocks(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip() and not ln.lstrip().startswith("#")]
-    i = 0
-    while i < len(lines):
-        head = lines[i].split()
-        name, kind = head[0], head[1]
-        if kind == "jointpmf":
-            arity = int(head[2])
-            count = int(np.prod([int(s) for s in head[3 : 3 + arity]]))
-        elif kind == "condpmf":
-            arity = int(head[2])
-            count = int(np.prod([int(s) for s in head[3 : 3 + arity]])) * int(head[3 + arity])
-        elif kind == "detmap":
-            arity = int(head[2])
-            count = int(np.prod([int(s) for s in head[3 : 3 + arity]]))
-        elif kind == "dtable":
-            count = int(head[2]) * int(head[3])
-        else:
-            raise ValueError(f"unknown block kind {kind!r}")
-        body = " ".join(head[1:]) + "\n" + "\n".join(lines[i + 1 : i + 1 + count])
-        yield name, kind, body
-        i += 1 + count
-
-
-def _dtable_to_text(name: str, table: np.ndarray) -> str:
-    r, c = table.shape
-    lines = [f"{name} dtable {r} {c}"]
-    for i in range(r):
-        for j in range(c):
-            lines.append("%d %d %.17g" % (i, j, table[i, j]))
-    return "\n".join(lines) + "\n"
-
-
-def _dtable_from_body(body: str) -> np.ndarray:
-    lines = body.splitlines()
-    head = lines[0].split()
-    r, c = int(head[1]), int(head[2])
-    out = np.zeros((r, c))
-    for ln in lines[1:]:
-        i, j, v = ln.split()
-        out[int(i), int(j)] = float(v)
-    return out
-
-
 def save_source_spec(src: SourceSpec) -> str:
-    parts = ["pmf " + src.pmf.to_text(), _dtable_to_text("d1", src.d1),
-             _dtable_to_text("d2", src.d2)]
+    parts = [write_block("pmf", "jointpmf", src.pmf.probs),
+             write_block("d1", "dtable", src.d1), write_block("d2", "dtable", src.d2)]
     if src.d3 is not None:
-        parts.append(_dtable_to_text("d3", src.d3))
+        parts.append(write_block("d3", "dtable", src.d3))
     return "".join(parts)
 
 
 def load_source_spec(text: str) -> SourceSpec:
     fields = {}
-    for name, kind, body in _blocks(text):
-        if kind == "jointpmf":
-            fields[name] = JointPMF.from_text(body)
-        elif kind == "dtable":
-            fields[name] = _dtable_from_body(body)
-        else:
+    for name, kind, table, _ in read_blocks(text):
+        if kind not in ("jointpmf", "dtable"):
             raise ValueError(f"unexpected block {name!r} of kind {kind!r} in source spec")
+        fields[name] = JointPMF(table) if kind == "jointpmf" else table
     if "pmf" not in fields or "d1" not in fields or "d2" not in fields:
         raise ValueError("source spec needs pmf, d1 and d2 blocks")
     return SourceSpec(pmf=fields["pmf"], d1=fields["d1"], d2=fields["d2"],
@@ -840,23 +720,19 @@ _AUX_FIELDS = ("p_u", "p_xhat1", "p_v", "p_u2", "p_uh", "g2", "g3")
 
 
 def save_aux(aux: AuxiliarySystem) -> str:
-    parts = []
-    for name in _AUX_FIELDS:
-        val = getattr(aux, name)
-        if val is not None:
-            parts.append(f"{name} " + val.to_text())
-    return "".join(parts)
+    return "".join(f"{name} " + getattr(aux, name).to_text()
+                   for name in _AUX_FIELDS if getattr(aux, name) is not None)
 
 
 def load_aux(text: str) -> AuxiliarySystem:
     fields = {}
-    for name, kind, body in _blocks(text):
+    for name, kind, table, out_size in read_blocks(text):
         if name not in _AUX_FIELDS:
             raise ValueError(f"unknown auxiliary field {name!r}")
         if kind == "condpmf":
-            fields[name] = CondPMF.from_text(body)
+            fields[name] = CondPMF(table)
         elif kind == "detmap":
-            fields[name] = DeterministicMap.from_text(body)
+            fields[name] = DeterministicMap(table, out_size)
         else:
             raise ValueError(f"auxiliary field {name!r} has unsupported kind {kind!r}")
     return AuxiliarySystem(**fields)

@@ -1,9 +1,12 @@
 """Exact information measures over dense finite joint distributions.
 
 Everything here works on explicit probability tables (numpy arrays), in bits
-(base-2 logs). These primitives back all the discrete region evaluators:
-entropy, conditional mutual information, Markov-chain deviation, and the
-product-coupling identity checker used by the two-way converses.
+(base-2 logs). This is the package's single information core: the raw-array
+primitives (`marginal`, `table_entropy`, `cmi` and the joint builder `joint`)
+that the evaluators, the search and the simulator call on their hot paths;
+the validating `JointPMF` wrappers around them; the Markov-deviation and
+product-coupling checkers used by the two-way converses; and the one text
+codec (`write_block`, `read_blocks`) for every table kind on disk.
 """
 
 from __future__ import annotations
@@ -64,31 +67,14 @@ class JointPMF:
 
     def marginal(self, subset) -> np.ndarray:
         """Marginal table over `subset`, axes kept in ascending index order."""
-        subset = _validate_subset(subset, self.arity, "subset")
-        drop = tuple(i for i in range(self.arity) if i not in set(subset))
-        return self.probs.sum(axis=drop) if drop else self.probs
+        return marginal(self.probs, _validate_subset(subset, self.arity, "subset"))
 
     def to_text(self) -> str:
-        lines = ["jointpmf %d %s" % (self.arity, " ".join(map(str, self.sizes)))]
-        for idx in np.ndindex(*self.sizes):
-            lines.append(
-                "%s %.17g" % (" ".join(map(str, idx)), self.probs[idx])
-            )
-        return "\n".join(lines) + "\n"
+        return write_block(None, "jointpmf", self.probs)
 
     @classmethod
     def from_text(cls, text: str) -> "JointPMF":
-        tokens = [ln.split() for ln in text.splitlines() if ln.strip()]
-        if not tokens or tokens[0][0] != "jointpmf":
-            raise ValueError("missing 'jointpmf' header line")
-        head = tokens[0]
-        arity = int(head[1])
-        sizes = tuple(int(s) for s in head[2 : 2 + arity])
-        probs = np.zeros(sizes, dtype=np.float64)
-        for row in tokens[1:]:
-            idx = tuple(int(t) for t in row[:arity])
-            probs[idx] = float(row[arity])
-        return cls(probs)
+        return cls(_read_single(text, "jointpmf")[0])
 
 
 @dataclass(frozen=True)
@@ -123,29 +109,11 @@ class CondPMF:
         return self.table.shape[-1]
 
     def to_text(self) -> str:
-        ins = self.input_sizes
-        lines = [
-            "condpmf %d %s %d"
-            % (len(ins), " ".join(map(str, ins)), self.output_size)
-        ]
-        for idx in np.ndindex(*self.table.shape):
-            lines.append("%s %.17g" % (" ".join(map(str, idx)), self.table[idx]))
-        return "\n".join(lines) + "\n"
+        return write_block(None, "condpmf", self.table)
 
     @classmethod
     def from_text(cls, text: str) -> "CondPMF":
-        tokens = [ln.split() for ln in text.splitlines() if ln.strip()]
-        if not tokens or tokens[0][0] != "condpmf":
-            raise ValueError("missing 'condpmf' header line")
-        head = tokens[0]
-        in_arity = int(head[1])
-        in_sizes = tuple(int(s) for s in head[2 : 2 + in_arity])
-        out_size = int(head[2 + in_arity])
-        table = np.zeros(in_sizes + (out_size,), dtype=np.float64)
-        for row in tokens[1:]:
-            idx = tuple(int(t) for t in row[: in_arity + 1])
-            table[idx] = float(row[in_arity + 1])
-        return cls(table)
+        return cls(_read_single(text, "condpmf")[0])
 
 
 @dataclass(frozen=True)
@@ -169,28 +137,11 @@ class DeterministicMap:
         return self.table.shape
 
     def to_text(self) -> str:
-        ins = self.input_sizes
-        lines = [
-            "detmap %d %s %d" % (len(ins), " ".join(map(str, ins)), self.output_size)
-        ]
-        for idx in np.ndindex(*ins):
-            lines.append("%s %d" % (" ".join(map(str, idx)), self.table[idx]))
-        return "\n".join(lines) + "\n"
+        return write_block(None, "detmap", self.table, self.output_size)
 
     @classmethod
     def from_text(cls, text: str) -> "DeterministicMap":
-        tokens = [ln.split() for ln in text.splitlines() if ln.strip()]
-        if not tokens or tokens[0][0] != "detmap":
-            raise ValueError("missing 'detmap' header line")
-        head = tokens[0]
-        in_arity = int(head[1])
-        in_sizes = tuple(int(s) for s in head[2 : 2 + in_arity])
-        out_size = int(head[2 + in_arity])
-        table = np.zeros(in_sizes, dtype=np.int64)
-        for row in tokens[1:]:
-            idx = tuple(int(t) for t in row[:in_arity])
-            table[idx] = int(row[in_arity])
-        return cls(table, out_size)
+        return cls(*_read_single(text, "detmap"))
 
 
 def _validate_subset(subset, arity: int, name: str) -> tuple[int, ...]:
@@ -202,11 +153,62 @@ def _validate_subset(subset, arity: int, name: str) -> tuple[int, ...]:
     return tuple(sorted(subset))
 
 
-def _entropy_of_table(table: np.ndarray) -> float:
+# ------------------------------------------------------------ raw-array core
+# No validation here: these run inside the search and simulator loops, on
+# tables the callers have already checked.
+
+
+def marginal(joint: np.ndarray, keep) -> np.ndarray:
+    """Marginal of a raw table over the axes `keep`, in ascending axis order."""
+    keep = set(keep)
+    drop = tuple(i for i in range(joint.ndim) if i not in keep)
+    return joint.sum(axis=drop) if drop else joint
+
+
+def table_entropy(table: np.ndarray) -> float:
+    """Entropy in bits of a raw probability table (any shape)."""
     p = table.ravel()
     # 0 log 0 := 0 by continuity
     nz = p > 0.0
     return float(-(p[nz] * np.log2(p[nz])).sum())
+
+
+def cmi(joint: np.ndarray, a, b, c=()) -> float:
+    """I(A;B|C) in bits on a raw joint table, for axis tuples a, b and c.
+
+    Computed as H(A,C) + H(B,C) - H(A,B,C) - H(C), with tiny negative
+    rounding residue clipped to 0. A constant A or B (every axis of size 1)
+    gives exactly 0, which keeps the degenerate reductions between settings
+    exact to the last bit.
+    """
+    a, b, c = tuple(a), tuple(b), tuple(c)
+    if all(joint.shape[i] == 1 for i in a) or all(joint.shape[i] == 1 for i in b):
+        return 0.0
+    h_ac = table_entropy(marginal(joint, a + c))
+    h_bc = table_entropy(marginal(joint, b + c))
+    h_abc = table_entropy(marginal(joint, a + b + c))
+    h_c = table_entropy(marginal(joint, c)) if c else 0.0
+    return max(0.0, h_ac + h_bc - h_abc - h_c)
+
+
+def joint(ndim: int, *factors) -> np.ndarray:
+    """Product of (table, axes) factors broadcast onto an ndim-axis joint.
+
+    The axes of each table land, in order, on the ascending joint axes
+    `axes`. Factors multiply left to right, so the result is bit-identical
+    to the same product written out with None-indexing.
+    """
+    out = None
+    for table, axes in factors:
+        shape = [1] * ndim
+        for ax, size in zip(axes, table.shape):
+            shape[ax] = size
+        t = table.reshape(shape)
+        out = t if out is None else out * t
+    return out
+
+
+# -------------------------------------------------------- validated measures
 
 
 def entropy(pmf: JointPMF, subset) -> float:
@@ -214,15 +216,11 @@ def entropy(pmf: JointPMF, subset) -> float:
     subset = _validate_subset(subset, pmf.arity, "subset")
     if not subset:
         raise ValueError("subset must be nonempty")
-    return _entropy_of_table(pmf.marginal(subset))
+    return table_entropy(marginal(pmf.probs, subset))
 
 
 def conditional_mutual_information(pmf: JointPMF, set_a, set_b, set_c=()) -> float:
-    """I(A;B|C) in bits; with empty C this is plain mutual information.
-
-    Computed as H(A,C) + H(B,C) - H(A,B,C) - H(C); tiny negative rounding
-    residue is clipped to 0.
-    """
+    """I(A;B|C) in bits; with empty C this is plain mutual information."""
     a = _validate_subset(set_a, pmf.arity, "set_a")
     b = _validate_subset(set_b, pmf.arity, "set_b")
     c = _validate_subset(set_c, pmf.arity, "set_c")
@@ -230,11 +228,7 @@ def conditional_mutual_information(pmf: JointPMF, set_a, set_b, set_c=()) -> flo
         raise ValueError("set_a and set_b must be nonempty")
     if set(a) & set(b) or set(a) & set(c) or set(b) & set(c):
         raise ValueError("set_a, set_b, set_c must be pairwise disjoint")
-    h_ac = _entropy_of_table(pmf.marginal(a + c))
-    h_bc = _entropy_of_table(pmf.marginal(b + c))
-    h_abc = _entropy_of_table(pmf.marginal(a + b + c))
-    h_c = _entropy_of_table(pmf.marginal(c)) if c else 0.0
-    return max(0.0, h_ac + h_bc - h_abc - h_c)
+    return cmi(pmf.probs, a, b, c)
 
 
 def check_markov_chain(pmf: JointPMF, order) -> float:
@@ -258,12 +252,8 @@ def compose_markov_chain(p_x: np.ndarray, p_y_given_x: CondPMF,
         raise ValueError("p_y_given_x input alphabet does not match p_x")
     if p_z_given_y.input_sizes != (p_y_given_x.output_size,):
         raise ValueError("p_z_given_y input alphabet does not match p_y_given_x")
-    joint = (
-        p_x[:, None, None]
-        * p_y_given_x.table[:, :, None]
-        * p_z_given_y.table[None, :, :]
-    )
-    return JointPMF(joint)
+    return JointPMF(joint(3, (p_x, (0,)), (p_y_given_x.table, (0, 1)),
+                          (p_z_given_y.table, (1, 2))))
 
 
 def kaspi_lemma_check(
@@ -295,18 +285,97 @@ def kaspi_lemma_check(
         )
     nm2 = m2.output_size
 
-    # axes: (A1, A2, B1, B2, M1, M2)
-    joint = np.zeros((na1, na2, nb1, nb2, nm1, nm2), dtype=np.float64)
-    base = p_a1b1.probs[:, None, :, None] * p_a2b2.probs[None, :, None, :]
-    for a1 in range(na1):
-        for a2 in range(na2):
-            k1 = m1.table[a1, a2]
-            for b1 in range(nb1):
-                for b2 in range(nb2):
-                    k2 = m2.table[b1, b2, k1]
-                    joint[a1, a2, b1, b2, k1, k2] += base[a1, a2, b1, b2]
-    pmf = JointPMF(joint)
+    # axes (A1, A2, B1, B2, M1, M2); the maps enter as one-hot channels
+    pmf = JointPMF(joint(6, (p_a1b1.probs, (0, 2)), (p_a2b2.probs, (1, 3)),
+                         (np.eye(nm1)[m1.table], (0, 1, 4)),
+                         (np.eye(nm2)[m2.table], (2, 3, 4, 5))))
     v1 = conditional_mutual_information(pmf, [1], [2], [4, 5, 0, 3])
     v2 = conditional_mutual_information(pmf, [2], [4], [0, 3])
     v3 = conditional_mutual_information(pmf, [1], [5], [4, 0, 3])
     return v1, v2, v3
+
+
+# --------------------------------------------------------------- text codec
+# A block is a header line "[name] kind dims..." and then one "index... value"
+# row per table entry, every index exactly once. The dims by kind:
+#   jointpmf k s1..sk       table (s1..sk) of probabilities
+#   condpmf  k s1..sk out   table (s1..sk, out); its rows index the output too
+#   detmap   k s1..sk out   table (s1..sk) of output indices in [0, out)
+#   dtable   rows cols      table (rows, cols) of distortions
+BLOCK_KINDS = ("jointpmf", "condpmf", "detmap", "dtable")
+
+
+def write_block(name, kind: str, table: np.ndarray, out_size=None) -> str:
+    """Text of one block; name None writes an unnamed header."""
+    shape = table.shape
+    dims = {"jointpmf": (len(shape),) + shape, "condpmf": (len(shape) - 1,) + shape,
+            "detmap": (len(shape),) + shape + (out_size,), "dtable": shape}[kind]
+    head = [name, kind] if name is not None else [kind]
+    fmt = "%s %d" if kind == "detmap" else "%s %.17g"
+    lines = [" ".join(head + ["%d" % d for d in dims])]
+    lines += [fmt % (" ".join(map(str, i)), table[i]) for i in np.ndindex(*shape)]
+    return "\n".join(lines) + "\n"
+
+
+def read_blocks(text: str) -> list:
+    """(name, kind, table, out_size) of every block in `text`.
+
+    The text splits at header lines, whose first token is not an integer;
+    '#' starts a comment. name is None for an unnamed header, out_size is
+    None but for detmap. A malformed header, or a block that is short,
+    sparse or has a duplicate or out-of-range index, raises ValueError
+    naming the block and the fault.
+    """
+    blocks = []
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if tokens and tokens[0].lstrip("+-").isdigit():
+            if not blocks:
+                raise ValueError(f"data row {raw.strip()!r} before any block header")
+            blocks[-1][1].append(tokens)
+        elif tokens:
+            blocks.append((tokens, []))
+    return [_parse_block(head, rows) for head, rows in blocks]
+
+
+def _parse_block(head, rows):
+    name = head.pop(0) if head[0] not in BLOCK_KINDS and len(head) > 1 else None
+    kind = head[0]
+    label = f"block {name or kind!r}"
+    if kind not in BLOCK_KINDS:
+        raise ValueError(f"{label}: unknown kind {kind!r}, not one of {BLOCK_KINDS}")
+    try:
+        dims = [int(d) for d in head[1:]]
+        k = 2 if kind == "dtable" else dims[0]
+        if len(dims) != {"jointpmf": 1 + k, "dtable": 2}.get(kind, 2 + k):
+            raise ValueError("wrong number of sizes")
+        shape = _check_sizes(dims if kind == "dtable"
+                             else dims[1 : 1 + k + (kind == "condpmf")])
+    except (ValueError, IndexError) as exc:
+        raise ValueError(f"{label}: malformed header {' '.join(head)!r} ({exc})") from None
+    convert = int if kind == "detmap" else float
+    table, seen = np.zeros(shape, dtype=convert), np.zeros(shape, dtype=bool)
+    for row in rows:
+        try:
+            if len(row) != len(shape) + 1:
+                raise ValueError
+            idx, value = tuple(int(t) for t in row[:-1]), convert(row[-1])
+        except ValueError:
+            raise ValueError(f"{label}: row {' '.join(row)!r} is not "
+                             f"{len(shape)} indices and a value") from None
+        if not all(0 <= i < n for i, n in zip(idx, shape)):
+            raise ValueError(f"{label}: index {idx} out of range for shape {shape}")
+        if seen[idx]:
+            raise ValueError(f"{label}: duplicate index {idx}")
+        seen[idx], table[idx] = True, value
+    if len(rows) != table.size:
+        raise ValueError(f"{label}: {len(rows)} of its {table.size} entries listed")
+    return name, kind, table, dims[-1] if kind == "detmap" else None
+
+
+def _read_single(text: str, kind: str):
+    """(table, out_size) of a text holding exactly one block of `kind`."""
+    blocks = read_blocks(text)
+    if len(blocks) != 1 or blocks[0][1] != kind:
+        raise ValueError(f"expected exactly one {kind!r} block")
+    return blocks[0][2:]

@@ -17,9 +17,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .discrete import AuxiliarySystem, SourceSpec, _cmi
+from .discrete import _CASCADE, AuxiliarySystem, SourceSpec
 from .errors import ResourceLimitError
 from .probability import DeterministicMap
+from .probability import cmi as _cmi, marginal as _marginal
 
 CODEWORD_CAP = 2**20
 
@@ -36,12 +37,6 @@ class TypicalityParams:
             raise ValueError("epsilon must lie in (0, 1)")
         if self.n < 1:
             raise ValueError("blocklength must be at least 1")
-
-
-def _typicality_bounds(pmf_flat: np.ndarray, n: int, eps: float):
-    lo = n * pmf_flat * (1.0 - eps)
-    hi = n * pmf_flat * (1.0 + eps)
-    return lo, hi
 
 
 def _ceil_pow2(n: int, rate: float) -> int:
@@ -93,15 +88,6 @@ class CascadeCode:
         return (draws[:, :, None] < cum[None, :, :]).argmax(axis=-1).astype(np.int64)
 
 
-def _aux_joint(src: SourceSpec, aux: AuxiliarySystem) -> np.ndarray:
-    # axes (X, Y, Z, U, Xhat1)
-    return (
-        src.pmf.probs[:, :, :, None, None]
-        * aux.p_u.table[:, :, None, :, None]
-        * aux.p_xhat1.table[:, :, None, :, :]
-    )
-
-
 def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
                        tp: TypicalityParams, delta: float,
                        seed: int) -> CascadeCode:
@@ -116,7 +102,8 @@ def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
     for name in ("p_u", "p_xhat1", "g2"):
         if getattr(aux, name) is None:
             raise ValueError(f"auxiliary system is missing {name}")
-    joint = _aux_joint(src, aux)
+    # axes (X, Y, Z, U, Xhat1)
+    joint = _CASCADE.joint((src.pmf.probs, aux.p_u.table, aux.p_xhat1.table))
     nx, ny, nz, nu, nh = joint.shape
     rate_l = _cmi(joint, (3,), (0, 1)) + delta
     rate_10 = _cmi(joint, (3,), (0,), (1,)) + 2 * delta
@@ -146,25 +133,15 @@ def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
     denom = np.maximum(m_yuh.sum(axis=-1, keepdims=True), 1e-300)
     p_xhat1_given_uy = (m_yuh / denom).transpose(1, 0, 2)  # (U, Y, Xhat1)
 
+    # per scan, the joint axes whose symbols it combines, most significant first
+    scans = {"xy": (0, 1), "uxy": (3, 0, 1), "uxyz": (3, 0, 1, 2),
+             "huxy": (4, 3, 0, 1), "uy": (3, 1), "uz": (3, 2)}
     eps = tp.epsilon
-    bounds = {
-        "xy": _typicality_bounds(joint.sum(axis=(2, 3, 4)).ravel(), n, eps),
-        "uxy": _typicality_bounds(
-            joint.sum(axis=(2, 4)).transpose(2, 0, 1).ravel(), n, eps
-        ),
-        "uxyz": _typicality_bounds(
-            joint.sum(axis=4).transpose(3, 0, 1, 2).ravel(), n, eps
-        ),
-        "huxy": _typicality_bounds(
-            joint.sum(axis=2).transpose(3, 2, 0, 1).ravel(), n, eps
-        ),
-        "uy": _typicality_bounds(
-            joint.sum(axis=(0, 2, 4)).transpose(1, 0).ravel(), n, eps
-        ),
-        "uz": _typicality_bounds(
-            joint.sum(axis=(0, 1, 4)).transpose(1, 0).ravel(), n, eps
-        ),
-    }
+    bounds = {}
+    for key, axes in scans.items():
+        order = tuple(sorted(axes).index(a) for a in axes)
+        flat = _marginal(joint, axes).transpose(order).ravel()
+        bounds[key] = (n * flat * (1.0 - eps), n * flat * (1.0 + eps))
     return CascadeCode(
         n=n, epsilon=eps, seed=seed,
         rate_l=rate_l, rate_10=rate_10, rate_11=rate_11, rate_2=rate_2,
@@ -225,7 +202,8 @@ class RelayOutput:
     m2: int
     l_hat: int
     xhat1_seq: np.ndarray
-    e4: bool
+    e4: bool  # unique decoding failed
+    hits: np.ndarray  # codewords of bin m10 jointly typical with y
 
 
 def relay_node1(code: CascadeCode, m10: int, m11: int,
@@ -234,7 +212,8 @@ def relay_node1(code: CascadeCode, m10: int, m11: int,
 
     Looks for the unique codeword in bin m10 jointly typical with y; on
     ambiguity or absence falls back to the first codeword. Emits the terminal
-    bin index of the decoded codeword plus the relay reconstruction.
+    bin index of the decoded codeword, the relay reconstruction and every
+    typical codeword the scan found.
     """
     nx, ny, nz, nu, nh = code.sizes
     members = np.flatnonzero(code.bins1 == m10)
@@ -248,14 +227,15 @@ def relay_node1(code: CascadeCode, m10: int, m11: int,
         e4 = True
     xhat1 = code.xhat1_book(l_hat, y_seq)[m11]
     return RelayOutput(m2=int(code.bins2[l_hat]), l_hat=l_hat,
-                       xhat1_seq=xhat1, e4=e4)
+                       xhat1_seq=xhat1, e4=e4, hits=hits)
 
 
 @dataclass(frozen=True)
 class TerminalOutput:
     l_tilde: int
     xhat2_seq: np.ndarray
-    e5: bool
+    e5: bool  # unique decoding failed
+    hits: np.ndarray  # codewords of bin m2 jointly typical with z
 
 
 def decode_node2(code: CascadeCode, m2: int, z_seq: np.ndarray,
@@ -263,7 +243,8 @@ def decode_node2(code: CascadeCode, m2: int, z_seq: np.ndarray,
     """Terminal decode against the degraded side information.
 
     Unique-typical decode within bin m2 of the terminal partition; fallback
-    to the first codeword. Symbolwise reconstruction xhat2_i = g2(u_i, z_i).
+    to the first codeword. Symbolwise reconstruction xhat2_i = g2(u_i, z_i);
+    every typical codeword the scan found is returned too.
     """
     nx, ny, nz, nu, nh = code.sizes
     members = np.flatnonzero(code.bins2 == m2)
@@ -276,7 +257,7 @@ def decode_node2(code: CascadeCode, m2: int, z_seq: np.ndarray,
         l_tilde = 0
         e5 = True
     xhat2 = g2.table[code.codebook[l_tilde], z_seq]
-    return TerminalOutput(l_tilde=l_tilde, xhat2_seq=xhat2, e5=e5)
+    return TerminalOutput(l_tilde=l_tilde, xhat2_seq=xhat2, e5=e5, hits=hits)
 
 
 @dataclass(frozen=True)
@@ -358,16 +339,11 @@ def run_simulation(src: SourceSpec, aux: AuxiliarySystem, tp: TypicalityParams,
         uxyz = ((code.codebook[l] * nx + x_seq) * ny + y_seq) * nz + z_seq
         e2 = not bool(_mask(uxyz[None, :], nu * nx * ny * nz, code.bounds["uxyz"])[0])
         rel = relay_node1(code, enc.m10, enc.m11, y_seq)
-        # E4 per its event definition: another typical codeword shares the bin
-        members = np.flatnonzero(code.bins1 == enc.m10)
-        ids = code.codebook[members] * ny + y_seq[None, :]
-        hits = members[_mask(ids, nu * ny, code.bounds["uy"])]
-        e4 = bool(np.any(hits != l))
         dec = decode_node2(code, rel.m2, z_seq, aux.g2)
-        members2 = np.flatnonzero(code.bins2 == rel.m2)
-        ids2 = code.codebook[members2] * nz + z_seq[None, :]
-        hits2 = members2[_mask(ids2, nu * nz, code.bounds["uz"])]
-        e5 = bool(np.any(hits2 != l))
+        # E4 and E5 per their event definitions: another typical codeword
+        # shares the bin the node scanned
+        e4 = bool(np.any(rel.hits != l))
+        e5 = bool(np.any(dec.hits != l))
 
         flags = (e0, enc.e1, e2, enc.e3, e4, e5)
         counts += np.array(flags, dtype=np.int64)

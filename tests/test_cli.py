@@ -195,3 +195,48 @@ def test_load_config_reports_malformed_line(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(cfg))
     assert ":1" in str(err.value)
+
+
+def test_integer_flag_sweep_gives_ok_rows(tmp_path, ident_files):
+    src, aux = ident_files
+    out = tmp_path / "sweep.csv"
+    code = main([
+        "simulate", "--source", src, "--aux", aux, "--epsilon", "0.4",
+        "--trials", "3", "--sweep", "n:lin:8:10:2", "--out", str(out),
+    ])
+    assert code == 0
+    rows = read_rows(out)
+    assert [r["n"] for r in rows] == ["8", "10"]
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+
+
+def test_integer_flag_sweep_to_fraction_names_the_flag(tmp_path, ident_files, capsys):
+    src, aux = ident_files
+    code = main([
+        "simulate", "--source", src, "--aux", aux, "--epsilon", "0.4",
+        "--trials", "3", "--sweep", "n:lin:8:9:3",
+    ])
+    assert code == 2
+    assert "'n'" in capsys.readouterr().err
+
+
+GAUSS_CASCADE = {"var-a": "1", "var-b": "1", "var-z": "1", "d1": "0.25", "d2": "0.5",
+                 "r2": "1"}
+
+
+@pytest.mark.parametrize("flag, value", [("var-a", "nan"), ("r2", "inf"), ("d2", "-inf")])
+def test_non_finite_flag_is_rejected_by_name(flag, value, capsys):
+    flags = dict(GAUSS_CASCADE, **{flag: value})
+    assert main(["gaussian-cascade"] + [f"--{k}={v}" for k, v in flags.items()]) == 2
+    assert f"'{flag}'" in capsys.readouterr().err
+
+
+def test_non_finite_config_value_and_sweep_bound_are_rejected(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in GAUSS_CASCADE.items() if k != "d1")
+                   + "d1 = nan\n")
+    assert main(["gaussian-cascade", "--config", str(cfg)]) == 2
+    assert "'d1'" in capsys.readouterr().err
+    argv = [f"--{k}={v}" for k, v in GAUSS_CASCADE.items() if k != "r2"]
+    assert main(["gaussian-cascade"] + argv + ["--sweep", "r2:lin:1:inf:4"]) == 2
+    assert "'r2'" in capsys.readouterr().err

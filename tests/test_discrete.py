@@ -494,3 +494,52 @@ def test_aux_round_trip():
     assert np.array_equal(back.p_xhat1.table, aux.p_xhat1.table)
     assert np.array_equal(back.g2.table, aux.g2.table)
     assert back.p_v is None and back.g3 is None
+
+
+def test_saved_text_reads_back_to_the_same_bytes():
+    rng = np.random.default_rng(16)
+    src_text = save_source_spec(binary_markov_source(rng, d3=True))
+    aux_text = save_aux(random_cascade_aux(rng))
+    assert save_source_spec(load_source_spec(src_text)) == src_text
+    assert save_aux(load_aux(aux_text)) == aux_text
+    assert src_text.splitlines()[0] == "pmf jointpmf 3 2 2 2"
+    assert aux_text.splitlines()[0] == "p_u condpmf 2 2 2 3"
+
+
+def edit_rows(text, block, edit):
+    """`text` with each row of the block named `block` replaced by edit(row)."""
+    out, inside = [], False
+    for ln in text.splitlines():
+        if not ln[0].isdigit():
+            inside = ln.startswith(block + " ")
+        out += edit(ln) if inside and ln[0].isdigit() else [ln]
+    return "\n".join(out) + "\n"
+
+
+def test_faulty_blocks_are_refused_by_name():
+    src = ident_source()  # its pmf has zero entries
+    text = save_source_spec(src)
+    first_row = text.splitlines()[1]
+    faults = {
+        # short: the last pmf row is missing, so the next header follows early
+        "short": edit_rows(text, "pmf", lambda ln: [] if ln.startswith("1 1 0") else [ln]),
+        # sparse: only the nonzero entries listed
+        "sparse": edit_rows(text, "pmf", lambda ln: [ln] if float(ln.split()[-1]) else []),
+        "duplicate": edit_rows(text, "pmf", lambda ln: [ln, ln] if ln == first_row else [ln]),
+        "out of range": edit_rows(text, "pmf", lambda ln: ["2" + ln[1:]] if ln == first_row
+                                  else [ln]),
+    }
+    for fault, bad in faults.items():
+        with pytest.raises(ValueError, match="'pmf'") as err:
+            load_source_spec(bad)
+        message = str(err.value)
+        if fault in ("duplicate", "out of range"):
+            assert fault in message
+        else:
+            assert "entries listed" in message
+    aux_text = save_aux(random_cascade_aux(np.random.default_rng(3)))
+    short_aux = edit_rows(aux_text, "p_xhat1", lambda ln: [] if ln.startswith("0 0 0") else [ln])
+    with pytest.raises(ValueError, match="'p_xhat1'"):
+        load_aux(short_aux)
+    with pytest.raises(ValueError, match="'d1'.*malformed header"):
+        load_source_spec(text.replace("d1 dtable 2 2", "d1 dtable 2"))
