@@ -1,65 +1,57 @@
-"""Joint-type counting kernels: numba-compiled with a pure-numpy fallback.
+"""The conditional-type counting kernel behind every typicality scan.
 
-The simulator spends nearly all its time testing which codewords are jointly
-typical with the observed sequences, i.e. comparing per-row symbol counts
-against precomputed bounds. Set CASCADE_RD_NO_NUMBA=1 to force the numpy
-path; both backends return bit-identical masks.
+The simulator spends nearly all its time testing which rows of a codebook
+are jointly typical with a fixed sequence: every joint count of (row symbol
+u, conditioning symbol c) must lie in its band [lo, hi]. Grouping positions
+by c turns that into a few vectorised compares along the rows, with no joint
+id array.
 """
-
-import os
 
 import numpy as np
 
 
-def typical_mask_numpy(ids: np.ndarray, n_symbols: int,
-                       lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Rows of `ids` whose symbol counts all fall inside [lo, hi].
+def typical_mask(rows: np.ndarray, n_row_symbols: int, cond: np.ndarray,
+                 n_cond: int, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Rows whose joint type with `cond` lies inside the bands [lo, hi].
 
-    ids is (rows, n) of joint-symbol indices in [0, n_symbols); bounds are
-    inclusive. Counting uses one flat bincount over offset indices.
+    rows is (m, n) of symbols in [0, n_row_symbols); cond is the fixed (n,)
+    sequence of symbols in [0, n_cond). lo and hi are flat inclusive bounds on
+    the count of the pair (u, c), indexed u * n_cond + c.
+
+    The count of u at the k positions carrying c is an integer in [0, k], so
+    each band is first narrowed to the integers it allows there. A band with
+    none (for a c absent from cond, k = 0: one that excludes 0) fails every
+    row; a band holding all of [0, k] passes every row and is skipped. Each
+    remaining band is checked only on the rows that passed the bands of the
+    earlier conditioning symbols.
     """
-    rows, _ = ids.shape
-    flat = (ids + n_symbols * np.arange(rows, dtype=np.int64)[:, None]).ravel()
-    counts = np.bincount(flat, minlength=rows * n_symbols).reshape(rows, n_symbols)
-    return ((counts >= lo) & (counts <= hi)).all(axis=1)
-
-
-USE_NUMBA = os.environ.get("CASCADE_RD_NO_NUMBA", "") != "1"
-
-if USE_NUMBA:
-    try:
-        from numba import njit
-
-        @njit(cache=True, nogil=True)
-        def _typical_mask_jit(ids, n_symbols, lo, hi):  # pragma: no cover
-            rows, n = ids.shape
-            out = np.zeros(rows, dtype=np.bool_)
-            counts = np.zeros(n_symbols, dtype=np.int64)
-            for r in range(rows):
-                counts[:] = 0
-                ok = True
-                for i in range(n):
-                    s = ids[r, i]
-                    counts[s] += 1
-                    if counts[s] > hi[s]:  # counts only grow: safe early exit
-                        ok = False
-                        break
-                if ok:
-                    for s in range(n_symbols):
-                        if counts[s] < lo[s]:
-                            ok = False
-                            break
-                out[r] = ok
+    m, n = rows.shape
+    k = np.bincount(cond, minlength=n_cond)
+    lo = np.maximum(np.ceil(lo.reshape(n_row_symbols, n_cond)), 0).astype(np.int64)
+    hi = np.minimum(np.floor(hi.reshape(n_row_symbols, n_cond)), k).astype(np.int64)
+    out = np.zeros(m, dtype=bool)
+    if (lo > hi).any():
+        return out
+    binding = (lo > 0) | (hi < k)
+    count_dtype = np.min_scalar_type(n)
+    cols = rows.T
+    # Python ints keep the compares in the rows' own narrow dtype
+    lo, hi = lo.tolist(), hi.tolist()
+    alive = None  # rows that passed every band so far; None while that is all
+    for c, binding_c in enumerate(binding.T.tolist()):
+        if not any(binding_c):
+            continue
+        pos = (cond == c).nonzero()[0]
+        block = cols[pos] if alive is None else cols[pos[:, None], alive]
+        ok = np.ones(block.shape[1], dtype=bool)
+        for u, binds in enumerate(binding_c):
+            if binds:
+                count = (block == u).sum(axis=0, dtype=count_dtype)
+                ok &= (count >= lo[u][c]) & (count <= hi[u][c])
+        alive = ok.nonzero()[0] if alive is None else alive[ok]
+        if alive.size == 0:
             return out
-
-        def typical_mask_numba(ids, n_symbols, lo, hi):
-            return _typical_mask_jit(
-                np.ascontiguousarray(ids, dtype=np.int64), n_symbols, lo, hi
-            )
-
-        typical_mask = typical_mask_numba
-    except ImportError:  # numba missing: silently degrade to numpy
-        typical_mask = typical_mask_numpy
-        USE_NUMBA = False
-else:
-    typical_mask = typical_mask_numpy
+    if alive is None:
+        return ~out
+    out[alive] = True
+    return out

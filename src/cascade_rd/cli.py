@@ -158,15 +158,17 @@ def _resolve(args, params, swept: str | None = None):
     """Merge config-file values under the flags, validate, coerce types.
 
     The swept parameter, if any, gets its values from the sweep axis and is
-    exempt from the required check.
+    exempt from the required check. Returns (values, seed); the seed is
+    --seed, else the config's `seed` key, else 0.
     """
     values = {}
     cfg = load_config(args.config) if args.config else {}
     known = {p.name: p for p in params}
     for key, (text, lineno) in cfg.items():
-        if key in ("seed", "out", "sweep"):
-            continue
-        if key not in known:
+        if key in ("out", "sweep"):
+            raise ConfigError(f"{args.config}:{lineno}: key {key!r} is not read from "
+                              f"a config file; give --{key} on the command line")
+        if key != "seed" and key not in known:
             raise ConfigError(f"{args.config}:{lineno}: unknown key {key!r}")
     for p in params:
         flag_val = getattr(args, p.dest)
@@ -181,29 +183,38 @@ def _resolve(args, params, swept: str | None = None):
             raise ConfigError(f"missing required parameter '{p.name}'")
         else:
             values[p.dest] = None
-    return values
+    if args.seed is not None:
+        seed = args.seed
+    elif "seed" in cfg:
+        text, lineno = cfg["seed"]
+        seed = _coerce(Param("seed", int), text, f"{args.config}:{lineno}: ")
+    else:
+        seed = 0
+    if seed < 0:
+        raise ConfigError(f"'seed' must be a nonnegative integer, got {seed}")
+    return values, seed
 
 
-def _config_hash(command, values, seed) -> str:
-    canon = "\n".join(
-        [f"command={command}", f"seed={seed}"]
-        + sorted(f"{k}={v}" for k, v in values.items())
-    )
-    return hashlib.sha256(canon.encode()).hexdigest()[:12]
+def _config_hash(command, values, seed, dest, vals) -> str:
+    """Hash of everything the rows depend on: command, seed, values, sweep axis."""
+    lines = [f"command={command}", f"seed={seed}"]
+    lines += sorted(f"{k}={v}" for k, v in values.items())
+    if dest is not None:
+        lines.append(f"sweep={dest}:" + ",".join(repr(v) for v in vals))
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
 def _run_points(command, args, params, in_cols, out_cols, compute):
     """Shared driver: resolve params, expand the sweep, evaluate each point."""
     dest, vals = _parse_sweep(args.sweep, params) if args.sweep else (None, [None])
-    values = _resolve(args, params, swept=dest)
-    seed = int(args.seed)
+    values, seed = _resolve(args, params, swept=dest)
     table = ResultTable(
         columns=in_cols + out_cols + ["status", "detail"],
         provenance={
             "tool": f"cascade-rd {__version__}",
             "command": command,
             "seed": seed,
-            "config-hash": _config_hash(command, values, seed),
+            "config-hash": _config_hash(command, values, seed, dest, vals),
         },
     )
     for v in vals:
@@ -443,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{prm.name}", dest=prm.dest, default=None,
                            help=prm.help or prm.name)
         p.add_argument("--config", default=None, help="key-value config file")
-        p.add_argument("--seed", default=0, type=int)
+        p.add_argument("--seed", default=None, type=int,
+                       help="random seed (default: the config's seed, else 0)")
         p.add_argument("--out", default=None, help="CSV output path")
         p.add_argument("--sweep", default=None,
                        help="param:lin|log:min:max:steps")

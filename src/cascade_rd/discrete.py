@@ -709,6 +709,8 @@ def load_source_spec(text: str) -> SourceSpec:
     for name, kind, table, _ in read_blocks(text):
         if kind not in ("jointpmf", "dtable"):
             raise ValueError(f"unexpected block {name!r} of kind {kind!r} in source spec")
+        if name in fields:
+            raise ValueError(f"block {name!r} appears more than once in source spec")
         fields[name] = JointPMF(table) if kind == "jointpmf" else table
     if "pmf" not in fields or "d1" not in fields or "d2" not in fields:
         raise ValueError("source spec needs pmf, d1 and d2 blocks")
@@ -729,6 +731,8 @@ def load_aux(text: str) -> AuxiliarySystem:
     for name, kind, table, out_size in read_blocks(text):
         if name not in _AUX_FIELDS:
             raise ValueError(f"unknown auxiliary field {name!r}")
+        if name in fields:
+            raise ValueError(f"block {name!r} appears more than once in auxiliary system")
         if kind == "condpmf":
             fields[name] = CondPMF(table)
         elif kind == "detmap":

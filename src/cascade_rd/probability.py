@@ -43,8 +43,9 @@ def _check_sizes(sizes) -> tuple[int, ...]:
 class JointPMF:
     """Dense joint pmf over a tuple of finite-alphabet variables.
 
-    probs[i1, ..., ik] = P(X1=i1, ..., Xk=ik). Entries must be nonnegative
-    and sum to 1 within 1e-12; arity and sizes are fixed at construction.
+    probs[i1, ..., ik] = P(X1=i1, ..., Xk=ik). Entries must be finite,
+    nonnegative and sum to 1 within 1e-12; arity and sizes are fixed at
+    construction.
     """
 
     probs: np.ndarray
@@ -53,6 +54,8 @@ class JointPMF:
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
         sizes = _check_sizes(probs.shape)
+        if not np.isfinite(probs).all():
+            raise ValueError("pmf entries must be finite")
         if np.any(probs < 0):
             raise ValueError("pmf entries must be nonnegative")
         total = float(probs.sum())
@@ -81,8 +84,8 @@ class JointPMF:
 class CondPMF:
     """Conditional pmf table: one output distribution per input tuple.
 
-    table[i1, ..., ik, j] = P(out=j | in=(i1, ..., ik)); every row sums to 1
-    within 1e-12.
+    table[i1, ..., ik, j] = P(out=j | in=(i1, ..., ik)); entries are finite and
+    nonnegative, and every row sums to 1 within 1e-12.
     """
 
     table: np.ndarray
@@ -92,6 +95,8 @@ class CondPMF:
         if table.ndim < 2:
             raise ValueError("conditional table needs input axes plus an output axis")
         _check_sizes(table.shape)
+        if not np.isfinite(table).all():
+            raise ValueError("conditional entries must be finite")
         if np.any(table < 0):
             raise ValueError("conditional entries must be nonnegative")
         rows = table.sum(axis=-1)

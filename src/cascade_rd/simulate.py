@@ -23,6 +23,7 @@ from .probability import DeterministicMap
 from .probability import cmi as _cmi, marginal as _marginal
 
 CODEWORD_CAP = 2**20
+_P_ATOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's sum tolerance
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,7 @@ class CascadeCode:
     rate_11: float
     rate_2: float
     sizes: tuple[int, int, int, int, int]  # (|X|, |Y|, |Z|, |U|, |Xhat1|)
-    codebook: np.ndarray  # (L, n) symbols of U
+    codebook: np.ndarray  # (L, n) symbols of U, Fortran-ordered, smallest uint
     bins1: np.ndarray  # (L,) bin of each codeword in the relay partition
     bins2: np.ndarray  # (L,) bin in the terminal partition, independent
     n_bins1: int
@@ -86,6 +87,26 @@ class CascadeCode:
         cum = probs.cumsum(axis=-1)
         draws = rng.random((self.n_xhat1, self.n))
         return (draws[:, :, None] < cum[None, :, :]).argmax(axis=-1).astype(np.int64)
+
+
+def _draw_symbols(rng: np.random.Generator, p: np.ndarray,
+                  shape: tuple[int, int]) -> np.ndarray:
+    """The draw of `rng.choice(p.size, size=shape, p=p)`, in the smallest dtype.
+
+    choice searches the normalised cdf for each uniform; counting the cdf
+    thresholds at or below each uniform gives the same symbols and consumes
+    the same stream. The result is Fortran-ordered, so its transpose is the
+    C-contiguous (n, rows) block that the typicality kernel reads.
+    """
+    if not (np.all(p >= 0) and abs(math.fsum(p) - 1.0) <= _P_ATOL):
+        raise ValueError("symbol probabilities must be nonnegative and sum to 1")
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    uniforms = rng.random(shape)
+    symbols = np.zeros(shape, dtype=np.min_scalar_type(p.size - 1))
+    for threshold in cdf[:-1]:
+        symbols += uniforms >= threshold
+    return np.asfortranarray(symbols)
 
 
 def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
@@ -123,8 +144,7 @@ def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
     n_xhat1 = _ceil_pow2(n, rate_11)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    p_u = joint.sum(axis=(0, 1, 2, 4))
-    codebook = rng.choice(nu, size=(n_codewords, n), p=p_u).astype(np.int64)
+    codebook = _draw_symbols(rng, joint.sum(axis=(0, 1, 2, 4)), (n_codewords, n))
     bins1 = rng.integers(0, n_bins1, size=n_codewords, dtype=np.int64)
     bins2 = rng.integers(0, n_bins2, size=n_codewords, dtype=np.int64)
 
@@ -152,11 +172,6 @@ def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
     )
 
 
-def _mask(ids: np.ndarray, n_symbols: int, bounds) -> np.ndarray:
-    lo, hi = bounds
-    return _kernels.typical_mask(ids, n_symbols, lo, hi)
-
-
 @dataclass(frozen=True)
 class EncodeOutput:
     m10: int
@@ -176,8 +191,8 @@ def encode_node0(code: CascadeCode, x_seq: np.ndarray, y_seq: np.ndarray,
     """
     nx, ny, nz, nu, nh = code.sizes
     xy = x_seq * ny + y_seq
-    ids = code.codebook * (nx * ny) + xy[None, :]
-    cand = np.flatnonzero(_mask(ids, nu * nx * ny, code.bounds["uxy"]))
+    cand = np.flatnonzero(
+        _kernels.typical_mask(code.codebook, nu, xy, nx * ny, *code.bounds["uxy"]))
     if cand.size == 0:
         l = int(rng.integers(code.n_codewords))
         e1 = True
@@ -185,9 +200,9 @@ def encode_node0(code: CascadeCode, x_seq: np.ndarray, y_seq: np.ndarray,
         l = int(cand[rng.integers(cand.size)])
         e1 = False
     book = code.xhat1_book(l, y_seq)
-    base = (code.codebook[l] * nx + x_seq) * ny + y_seq
-    ids4 = book * (nu * nx * ny) + base[None, :]
-    cand4 = np.flatnonzero(_mask(ids4, nh * nu * nx * ny, code.bounds["huxy"]))
+    uxy = code.codebook[l].astype(np.int64) * (nx * ny) + xy
+    cand4 = np.flatnonzero(
+        _kernels.typical_mask(book, nh, uxy, nu * nx * ny, *code.bounds["huxy"]))
     if cand4.size == 0:
         m11 = int(rng.integers(code.n_xhat1))
         e3 = True
@@ -217,8 +232,8 @@ def relay_node1(code: CascadeCode, m10: int, m11: int,
     """
     nx, ny, nz, nu, nh = code.sizes
     members = np.flatnonzero(code.bins1 == m10)
-    ids = code.codebook[members] * ny + y_seq[None, :]
-    hits = members[_mask(ids, nu * ny, code.bounds["uy"])]
+    hits = members[_kernels.typical_mask(code.codebook[members], nu, y_seq, ny,
+                                         *code.bounds["uy"])]
     if hits.size == 1:
         l_hat = int(hits[0])
         e4 = False
@@ -248,8 +263,8 @@ def decode_node2(code: CascadeCode, m2: int, z_seq: np.ndarray,
     """
     nx, ny, nz, nu, nh = code.sizes
     members = np.flatnonzero(code.bins2 == m2)
-    ids = code.codebook[members] * nz + z_seq[None, :]
-    hits = members[_mask(ids, nu * nz, code.bounds["uz"])]
+    hits = members[_kernels.typical_mask(code.codebook[members], nu, z_seq, nz,
+                                         *code.bounds["uz"])]
     if hits.size == 1:
         l_tilde = int(hits[0])
         e5 = False
@@ -332,12 +347,13 @@ def run_simulation(src: SourceSpec, aux: AuxiliarySystem, tp: TypicalityParams,
         y_seq = y_seq.astype(np.int64)
         z_seq = z_seq.astype(np.int64)
 
-        xy = x_seq * ny + y_seq
-        e0 = not bool(_mask(xy[None, :], nx * ny, code.bounds["xy"])[0])
+        e0 = not _kernels.typical_mask(x_seq[None, :], nx, y_seq, ny,
+                                       *code.bounds["xy"])[0]
         enc = encode_node0(code, x_seq, y_seq, rng)
         l = enc.l_true
-        uxyz = ((code.codebook[l] * nx + x_seq) * ny + y_seq) * nz + z_seq
-        e2 = not bool(_mask(uxyz[None, :], nu * nx * ny * nz, code.bounds["uxyz"])[0])
+        xyz = (x_seq * ny + y_seq) * nz + z_seq
+        e2 = not _kernels.typical_mask(code.codebook[l][None, :], nu, xyz, nx * ny * nz,
+                                       *code.bounds["uxyz"])[0]
         rel = relay_node1(code, enc.m10, enc.m11, y_seq)
         dec = decode_node2(code, rel.m2, z_seq, aux.g2)
         # E4 and E5 per their event definitions: another typical codeword

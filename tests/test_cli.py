@@ -126,6 +126,50 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "bogus-key" in err and ":2" in err
 
 
+def test_config_seed_is_used_unless_the_flag_is_given(tmp_path):
+    def run(name, cfg_text, *flags):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(cfg_text)
+        out = tmp_path / f"{name}.csv"
+        assert main(["kaspi-check", "--instances", "5", "--config", str(cfg),
+                     "--out", str(out), *flags]) == 0
+        return out.read_text()
+
+    from_config = run("cfg", "seed = 7\n")
+    assert "# seed: 7" in from_config
+    assert from_config == run("flag", "", "--seed", "7")
+    assert from_config != run("default", "")
+    assert run("both", "seed = 7\n", "--seed", "3") == run("flag3", "", "--seed", "3")
+
+
+@pytest.mark.parametrize("line, name", [("seed = 1.5", "'seed'"), ("seed = nan", "'seed'"),
+                                        ("seed = -1", "'seed'"), ("out = r.csv", "'out'"),
+                                        ("sweep = instances:lin:1:3:3", "'sweep'")])
+def test_bad_seed_and_out_or_sweep_config_keys_are_refused_by_name(tmp_path, capsys,
+                                                                  line, name):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"instances = 5\n{line}\n")
+    assert main(["kaspi-check", "--config", str(cfg)]) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_negative_seed_flag_is_refused_by_name(capsys):
+    assert main(["kaspi-check", "--instances", "2", "--seed", "-1"]) == 2
+    assert "'seed'" in capsys.readouterr().err
+
+
+def test_provenance_hash_covers_the_sweep(tmp_path):
+    hashes = []
+    for sweep in ("r2:lin:1:2:3", "r2:lin:1:3:3", "r2:log:1:2:3", None):
+        out = tmp_path / "r.csv"
+        argv = ["gaussian-cascade", "--var-a", "1", "--var-b", "1", "--var-z", "1",
+                "--d1", "0.25", "--d2", "2.5", "--r2", "1.0", "--out", str(out)]
+        assert main(argv + (["--sweep", sweep] if sweep else [])) == 0
+        hashes += [ln for ln in out.read_text().splitlines()
+                   if ln.startswith("# config-hash")]
+    assert len(set(hashes)) == 4
+
+
 def test_round_trip_of_numeric_cells(tmp_path):
     out = tmp_path / "r.csv"
     main([

@@ -543,3 +543,24 @@ def test_faulty_blocks_are_refused_by_name():
         load_aux(short_aux)
     with pytest.raises(ValueError, match="'d1'.*malformed header"):
         load_source_spec(text.replace("d1 dtable 2 2", "d1 dtable 2"))
+
+
+def test_source_file_with_nan_probability_is_refused():
+    text = save_source_spec(ident_source())
+    first_row = text.splitlines()[1]
+    nan_row = edit_rows(text, "pmf", lambda ln: [ln.rsplit(" ", 1)[0] + " nan"]
+                        if ln == first_row else [ln])
+    with pytest.raises(ValueError, match="finite"):
+        load_source_spec(nan_row)
+
+
+def test_repeated_block_is_refused_by_name():
+    text = save_source_spec(ident_source())
+    repeated_d1 = text + "d1 dtable 2 2\n0 0 5\n0 1 5\n1 0 5\n1 1 5\n"
+    with pytest.raises(ValueError, match="'d1' appears more than once"):
+        load_source_spec(repeated_d1)
+    aux_text = save_aux(random_cascade_aux(np.random.default_rng(3)))
+    g2_block = aux_text[aux_text.index("g2 "):]
+    with pytest.raises(ValueError, match="'g2' appears more than once"):
+        load_aux(aux_text + g2_block)
+

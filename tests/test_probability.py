@@ -38,6 +38,15 @@ def test_pmf_rejects_negative_entries():
         JointPMF(np.array([1.1, -0.1]))
 
 
+def test_pmf_and_conditional_reject_non_finite_entries():
+    with pytest.raises(ValueError, match="finite"):
+        JointPMF(np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError, match="finite"):
+        JointPMF(np.array([[np.nan, 0.5], [0.25, 0.25]]))
+    with pytest.raises(ValueError, match="finite"):
+        CondPMF(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+
+
 def test_pmf_rejects_oversized_table():
     with pytest.raises(TableSizeError):
         JointPMF(np.zeros((101, 100, 100, 100)))

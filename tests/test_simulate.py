@@ -1,16 +1,15 @@
-import os
-import subprocess
-import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cascade_rd._kernels import typical_mask, typical_mask_numpy
+from cascade_rd._kernels import typical_mask
 from cascade_rd.discrete import AuxiliarySystem, SourceSpec, eval_cascade_point
 from cascade_rd.errors import ResourceLimitError
 from cascade_rd.probability import CondPMF, DeterministicMap, JointPMF
 from cascade_rd.simulate import (
     TypicalityParams,
+    _draw_symbols,
     build_cascade_code,
     decode_node2,
     encode_node0,
@@ -50,25 +49,82 @@ def const_aux():
 # ------------------------------------------------------------------- kernels
 
 
-def test_kernel_backends_agree():
+def brute_mask(rows, n_row_symbols, cond, n_cond, lo, hi):
+    """Reference: count every (row symbol, cond symbol) pair of each row."""
+    cells = [(u, c) for u in range(n_row_symbols) for c in range(n_cond)]
+    out = []
+    for row in rows:
+        counts = Counter(zip(row.tolist(), cond.tolist()))
+        out.append(all(lo[u * n_cond + c] <= counts[u, c] <= hi[u * n_cond + c]
+                       for u, c in cells))
+    return np.array(out, dtype=bool)
+
+
+def test_kernel_matches_brute_count():
     rng = np.random.default_rng(3)
-    for _ in range(20):
-        rows, n, s = rng.integers(1, 50), int(rng.integers(4, 30)), int(rng.integers(2, 9))
-        ids = rng.integers(0, s, size=(int(rows), n)).astype(np.int64)
-        p = rng.dirichlet(np.ones(s))
-        lo = n * p * 0.6
-        hi = n * p * 1.4
-        assert np.array_equal(
-            typical_mask(ids, s, lo, hi), typical_mask_numpy(ids, s, lo, hi)
-        )
+    outcomes = set()
+    for trial in range(300):
+        n = 300 if trial % 50 == 0 else int(rng.integers(1, 30))
+        m = (0, 1)[trial % 2] if trial % 7 == 0 else int(rng.integers(2, 60))
+        nu, nc = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        p = rng.dirichlet(np.ones(nu * nc))
+        p[rng.random(p.size) < 0.2] = 0.0  # zero-probability cells: lo = hi = 0
+        eps = rng.uniform(0.05, 1.5)
+        lo, hi = n * p * (1.0 - eps), n * p * (1.0 + eps)
+        # symbols absent from cond stay absent in a fifth of the trials
+        used = rng.permutation(nc)[:int(rng.integers(1, nc + 1))] if trial % 5 == 0 \
+            else np.arange(nc)
+        cond = rng.choice(used, size=n)
+        # rows drawn from p(u | c) at each position pass some of the time
+        p_uc = p.reshape(nu, nc)[:, cond] + 1e-3
+        cdf = np.cumsum(p_uc / p_uc.sum(axis=0), axis=0)
+        rows = (rng.random((m, 1, n)) > cdf[None, :-1, :]).sum(axis=1)
+        expected = brute_mask(rows, nu, cond, nc, lo, hi)
+        for layout in (rows, np.asfortranarray(rows.astype(np.uint8))):
+            got = typical_mask(layout, nu, cond, nc, lo, hi)
+            assert got.dtype == bool and got.shape == (m,)
+            assert np.array_equal(got, expected), trial
+        outcomes.update(expected.tolist())
+    assert outcomes == {True, False}
+    # one symbol at all 300 positions: its count does not fit in 8 bits
+    rows = np.zeros((2, 300), dtype=np.uint8)
+    rows[1, 0] = 1
+    bounds = np.array([300.0, 0.0])
+    mask = typical_mask(rows, 2, np.zeros(300, dtype=np.int64), 1, bounds, bounds)
+    assert list(mask) == [True, False]
 
 
 def test_kernel_zero_probability_symbol_forces_zero_count():
-    ids = np.array([[0, 0, 1], [0, 0, 0]], dtype=np.int64)
+    rows = np.array([[0, 0, 1], [0, 0, 0]], dtype=np.int64)
+    cond = np.zeros(3, dtype=np.int64)
     lo = np.array([0.0, 0.0])
     hi = np.array([3.0, 0.0])  # symbol 1 has probability zero
-    mask = typical_mask(ids, 2, lo, hi)
+    mask = typical_mask(rows, 2, cond, 1, lo, hi)
     assert list(mask) == [False, True]
+
+
+def test_codebook_draw_equals_generator_choice():
+    cases = [
+        (np.array([1.0]), (5, 3)),
+        (np.array([0.3, 0.7]), (64, 20)),
+        (np.array([0.65 / 2, 0.65 / 2, 0.35]), (1000, 7)),
+        (np.array([0.0, 0.5, 0.0, 0.5]), (300, 11)),
+        (np.array([0.25, 0.25, 0.5, 0.0]), (1, 40)),
+        (np.array([0.1, 0.2, 0.3, 0.4]), (0, 9)),
+    ]
+    rng = np.random.default_rng(0)
+    cases += [(rng.dirichlet(np.ones(k)), (257, 13)) for k in (3, 5, 300)]
+    for seed, (p, shape) in enumerate(cases):
+        ours = np.random.default_rng(seed)
+        ref = np.random.default_rng(seed)
+        got = _draw_symbols(ours, p, shape)
+        want = ref.choice(p.size, size=shape, p=p)
+        assert np.array_equal(got, want), p
+        assert got.dtype == np.min_scalar_type(p.size - 1) and got.flags.f_contiguous
+        assert ours.bit_generator.state == ref.bit_generator.state
+    for bad in (np.array([0.5, 0.6]), np.array([1.2, -0.2]), np.array([np.nan, 1.0])):
+        with pytest.raises(ValueError):
+            _draw_symbols(np.random.default_rng(0), bad, (2, 2))
 
 
 # ------------------------------------------------------------------ building
@@ -246,30 +302,3 @@ def test_bin_partitions_independent():
         if stat.pvalue > 0.01:
             passes += 1
     assert passes >= 19
-
-
-def test_numpy_fallback_simulation_identical(tmp_path, ident_files=None):
-    # the env flag selects the numpy path in a fresh interpreter; results
-    # must match the numba path bit for bit
-    script = (
-        "import numpy as np\n"
-        "from cascade_rd.discrete import SourceSpec, AuxiliarySystem\n"
-        "from cascade_rd.probability import JointPMF, CondPMF, DeterministicMap\n"
-        "from cascade_rd.simulate import TypicalityParams, run_simulation\n"
-        "ham = np.array([[0.,1.],[1.,0.]])\n"
-        "pxyz = np.zeros((2,2,1)); pxyz[0,0,0]=0.5; pxyz[1,1,0]=0.5\n"
-        "src = SourceSpec(JointPMF(pxyz), ham, ham)\n"
-        "pu = np.zeros((2,2,2)); pu[0,:,:] = [0.75,0.25]; pu[1,:,:] = [0.25,0.75]\n"
-        "pxh = np.zeros((2,2,2,2)); pxh[:,:,0,0]=1.0; pxh[:,:,1,1]=1.0\n"
-        "aux = AuxiliarySystem(p_u=CondPMF(pu), p_xhat1=CondPMF(pxh),\n"
-        "    g2=DeterministicMap(np.array([[0],[1]]), 2))\n"
-        "res = run_simulation(src, aux, TypicalityParams(0.4, 10), 0.15, 50, 9)\n"
-        "print(repr((res.event_counts, res.d1_mean, res.d2_mean)))\n"
-    )
-    outs = []
-    for no_numba in ("0", "1"):
-        env = dict(os.environ, CASCADE_RD_NO_NUMBA=no_numba)
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, check=True)
-        outs.append(proc.stdout.strip())
-    assert outs[0] == outs[1]
