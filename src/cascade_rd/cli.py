@@ -195,6 +195,15 @@ def _resolve(args, params, swept: str | None = None):
     return values, seed
 
 
+def _file_sha256(path: str) -> str:
+    """Digest of the file's bytes; the rows that read an unreadable file say why."""
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError:
+        return "unreadable"
+
+
 def _config_hash(command, values, seed, dest, vals) -> str:
     """Hash of everything the rows depend on: command, seed, values, sweep axis."""
     lines = [f"command={command}", f"seed={seed}"]
@@ -208,13 +217,16 @@ def _run_points(command, args, params, in_cols, out_cols, compute):
     """Shared driver: resolve params, expand the sweep, evaluate each point."""
     dest, vals = _parse_sweep(args.sweep, params) if args.sweep else (None, [None])
     values, seed = _resolve(args, params, swept=dest)
+    digests = {f"{name}-sha256": _file_sha256(values[name])
+               for name in ("source", "aux") if name in values}
     table = ResultTable(
         columns=in_cols + out_cols + ["status", "detail"],
         provenance={
             "tool": f"cascade-rd {__version__}",
             "command": command,
             "seed": seed,
-            "config-hash": _config_hash(command, values, seed, dest, vals),
+            "config-hash": _config_hash(command, {**values, **digests}, seed, dest, vals),
+            **digests,
         },
     )
     for v in vals:

@@ -2,23 +2,21 @@
 
 Source model: X = A + B + Z, Y = B + Z, with A, B, Z independent zero-mean
 Gaussians. All rates are in bits/sample, distortions in squared-error units
-of the source. The forward-link programs reduce to a two-parameter search
+of the source. The forward-link programs reduce to a two-parameter program
 over the auxiliary description U = alpha*A + beta*B + Z*, with the noise
-variance pinned to 1 by scale invariance; the backward (side-information
-feedback) region has closed-form corner constructions built from additive
-Gaussian test channels.
+variance pinned to 1 by scale invariance, whose boundary is in closed form;
+the backward (side-information feedback) region has closed-form corner
+constructions built from additive Gaussian test channels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InfeasibleError, NumericDomainError
-
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 # feasibility slack treated as zero, relative to the constraint scale
 _FEAS_REL_TOL = 1e-9
@@ -33,8 +31,8 @@ class GaussianCascadeSource:
     var_z: float
 
     def __post_init__(self):
-        if min(self.var_a, self.var_b, self.var_z) < 0:
-            raise ValueError("variances must be nonnegative")
+        for name in ("var_a", "var_b", "var_z"):
+            _check_arg(name, getattr(self, name), 0.0)
         if self.var_a == self.var_b == self.var_z == 0:
             raise ValueError("at least one variance must be positive")
 
@@ -152,85 +150,65 @@ def _feasible(va, vb, k, t, alpha):
     return gmax >= -tol, beta
 
 
-def _solver_grid(va, vb, k, t, n_alpha=400, n_beta=400):
-    """Coarse log-spaced scan; returns the lexicographically first optimal cell."""
-    alphas = np.concatenate([[0.0], np.logspace(-4, 4, n_alpha)])
-    half = n_beta // 2
-    betas = np.concatenate([-np.logspace(4, -4, half), [0.0], np.logspace(-4, 4, half)])
-    a2 = alphas[:, None] ** 2
-    var_u = a2 * va + betas[None, :] ** 2 * vb + 1.0
-    g = (alphas[:, None] * va + betas[None, :] * vb) ** 2 - k * var_u
-    tol = _FEAS_REL_TOL * max(1.0, abs(k) * t)
-    mask = (var_u <= t * (1.0 + 1e-12)) & (g >= -tol)
-    if not mask.any():
-        return None
-    i, j = np.argwhere(mask)[0]  # row-major argwhere = lexicographic order
-    return float(alphas[i]), float(betas[j]), (int(i), alphas)
+def _boundary_alpha(va, vb, k, t, d2_eff):
+    """(alpha, beta, branch): the smallest alpha with a feasible beta, in closed form.
 
-
-def _refine_alpha(va, vb, k, t, lo, hi, max_iter=200):
-    """Golden-ratio shrink of the feasibility boundary along the alpha axis.
-
-    lo is infeasible, hi feasible; only hi (a verified feasible point) is ever
-    returned, so the answer is always achievable.
+    There the distortion margin is zero, at a rate-tight beta (both tight:
+    a root of va*s*a^2 - 2*va*sqrt(k t)*a + k t - (t-1)*vb, s = va + vb) or
+    at the interior stationary beta (a^2 = (va - d2)/(va*d2), if va > d2).
+    The diagonal alpha = beta is the one feasible point with r2 on the
+    threshold, where rounding can lose the double root. Candidates are capped
+    at the largest alpha the rate budget admits; the smallest that
+    `_feasible` accepts is returned.
     """
-    for _ in range(max_iter):
-        gap_bits = 0.5 * math.log2((1.0 + hi * hi * va) / (1.0 + lo * lo * va))
-        if gap_bits < 5e-5:
-            break
-        mid = hi - GOLDEN * (hi - lo)
-        ok, _ = _feasible(va, vb, k, t, mid)
+    s = va + vb
+    cap = math.sqrt((t - 1.0) / va)
+    while cap * cap * va > t - 1.0:
+        cap = math.nextafter(cap, 0.0)
+    h = va * math.sqrt(k * t)
+    c = k * t - (t - 1.0) * vb
+    cands = [(math.sqrt((s / d2_eff - 1.0) / s), "both_tight")]  # the diagonal
+    disc = h * h - va * s * c
+    if disc >= 0:
+        big = h + math.sqrt(disc)  # h > 0: the cancellation-free pair of roots
+        cands += [(big / (va * s), "both_tight"), (abs(c / big), "both_tight")]
+    if va > d2_eff:
+        cands.append((math.sqrt((va - d2_eff) / (va * d2_eff)), "stationary"))
+    for alpha, branch in sorted((min(a, cap), br) for a, br in cands):
+        ok, beta = _feasible(va, vb, k, t, alpha)
         if ok:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+            return alpha, beta, branch
+    raise InfeasibleError(
+        "no feasible auxiliary found for (d2, r2)",
+        threshold=max(0.5 * math.log2(s / d2_eff), 0.0),
+    )
 
 
 @dataclass(frozen=True)
 class ForwardSolution:
     r1: float
     aux: GaussianAux
+    branch: str  # const_u, beta_only, both_tight or stationary (_boundary_alpha)
     r4_threshold: float | None = None
 
 
 def _min_r1(src: GaussianCascadeSource, d1: float, d2_eff: float, r2: float):
     va, vb = src.var_a, src.var_b
     if va == 0.0:
-        return ForwardSolution(0.0, GaussianAux(0.0, 0.0, 1.0))
+        return ForwardSolution(0.0, GaussianAux(0.0, 0.0, 1.0), "const_u")
     k = va + vb - d2_eff
+    r1_d1 = max(0.5 * math.log2(va / d1), 0.0)
     if k <= 0:
         # distortion constraint slack: constant U is optimal
-        r1 = max(0.5 * math.log2(va / d1), 0.0)
-        return ForwardSolution(r1, GaussianAux(0.0, 0.0, 1.0))
+        return ForwardSolution(r1_d1, GaussianAux(0.0, 0.0, 1.0), "const_u")
     t = 2.0 ** (2.0 * r2)
     ok0, beta0 = _feasible(va, vb, k, t, 0.0)
     if ok0:
-        r1 = max(0.5 * math.log2(va / d1), 0.0)
-        return ForwardSolution(r1, GaussianAux(0.0, beta0, 1.0))
+        return ForwardSolution(r1_d1, GaussianAux(0.0, beta0, 1.0), "beta_only")
 
-    cell = _solver_grid(va, vb, k, t)
-    # the distortion-tight diagonal auxiliary is feasible whenever the query
-    # meets the rate precondition; it seeds the bracket when the grid misses
-    s = va + vb
-    hi_cands = []
-    gamma2 = (s / d2_eff - 1.0) / s
-    if gamma2 >= 0:
-        gamma = math.sqrt(gamma2)
-        if _feasible(va, vb, k, t, gamma)[0]:
-            hi_cands.append(gamma)
-    if cell is not None:
-        hi_cands.append(cell[0])
-    if not hi_cands:
-        raise InfeasibleError(
-            "no feasible auxiliary found for (d2, r2)",
-            threshold=max(0.5 * math.log2(s / d2_eff), 0.0),
-        )
-    hi = min(hi_cands)
-    alpha = _refine_alpha(va, vb, k, t, 0.0, hi)
-    _, beta = _d2_slack(va, vb, k, t, alpha)
-    r1 = max(0.5 * math.log2(va / d1), 0.5 * math.log2(1.0 + alpha * alpha * va))
-    return ForwardSolution(r1, GaussianAux(alpha, beta, 1.0))
+    alpha, beta, branch = _boundary_alpha(va, vb, k, t, d2_eff)
+    r1 = max(r1_d1, 0.5 * math.log2(1.0 + alpha * alpha * va))
+    return ForwardSolution(r1, GaussianAux(alpha, beta, 1.0), branch)
 
 
 def cascade_min_r1(src: GaussianCascadeSource, d1: float, d2: float,
@@ -256,8 +234,7 @@ def triangular_min_r1(src: GaussianCascadeSource, d1: float, d2: float,
                       r2: float, r3: float) -> ForwardSolution:
     """Cascade program with the D2 bound relaxed to 2^(2 R3) * D2."""
     _check_query(d1, d2, r2)
-    if r3 < 0:
-        raise ValueError("r3 must be nonnegative")
+    _check_arg("r3", r3, 0.0)
     s = src.var_a + src.var_b
     thr = max(0.5 * math.log2(s / d2), 0.0) if s > 0 else 0.0
     if r2 + r3 < thr - 1e-12:
@@ -273,10 +250,8 @@ def two_way_triangular_min_r1(src: GaussianCascadeSource, d1: float, d2: float,
                               r4: float) -> ForwardSolution:
     """Two-way variant: the backward link decouples, so R1 matches the
     triangular program; also reports the R4 feasibility threshold."""
-    if d3 <= 0:
-        raise ValueError("d3 must be positive")
-    if r4 < 0:
-        raise ValueError("r4 must be nonnegative")
+    _check_arg("d3", d3, 0.0, strict=True)
+    _check_arg("r4", r4, 0.0)
     s = src.var_z_given_y
     thr4 = max(0.5 * math.log2(s / d3), 0.0) if s > 0 else 0.0
     if r4 < thr4 - 1e-12:
@@ -285,14 +260,22 @@ def two_way_triangular_min_r1(src: GaussianCascadeSource, d1: float, d2: float,
             threshold=thr4,
         )
     fwd = triangular_min_r1(src, d1, d2, r2, r3)
-    return ForwardSolution(fwd.r1, fwd.aux, r4_threshold=thr4)
+    return replace(fwd, r4_threshold=thr4)
+
+
+def _check_arg(name, value, least=-math.inf, strict=False):
+    """Refuse NaN, +-inf and values below `least` (or at it when strict), by name."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if value < least or (strict and value == least):
+        bound = f"{'>' if strict else '>='} {least:g}"
+        raise ValueError(f"{name} must be {bound}, got {value!r}")
 
 
 def _check_query(d1, d2, r2):
-    if d1 <= 0 or d2 <= 0:
-        raise ValueError("distortions must be positive")
-    if r2 < 0:
-        raise ValueError("r2 must be nonnegative")
+    _check_arg("d1", d1, 0.0, strict=True)
+    _check_arg("d2", d2, 0.0, strict=True)
+    _check_arg("r2", r2, 0.0)
 
 
 # ----------------------------------------------------------- backward region
@@ -328,6 +311,8 @@ def extended_backward_region_check(src: GaussianCascadeSource,
     """Slack of the three backward-rate inequalities at (R3, R4, R5)."""
     r3, r4, r5 = point
     dz1, dz2 = targets
+    for name, value in zip(("r3", "r4", "r5"), point):
+        _check_arg(name, value)
     s = src.var_z_given_y
     _check_dz(dz1, dz2, s)
     t1 = 0.5 * math.log2(s / dz1)
@@ -338,6 +323,8 @@ def extended_backward_region_check(src: GaussianCascadeSource,
 
 
 def _check_dz(dz1, dz2, s):
+    _check_arg("dz1", dz1)
+    _check_arg("dz2", dz2)
     if s <= 0:
         raise ValueError("source has Var(Z|Y) = 0; backward region is degenerate")
     if not (0.0 < dz1 <= s * (1 + 1e-12)) or not (0.0 < dz2 <= s * (1 + 1e-12)):
@@ -406,8 +393,8 @@ def extended_backward_achievability(src: GaussianCascadeSource,
     """
     s = src.var_z_given_y
     _check_dz(dz1, dz2, s)
-    if r3 < 0 or r4 < 0:
-        raise ValueError("rates must be nonnegative")
+    _check_arg("r3", r3, 0.0)
+    _check_arg("r4", r4, 0.0)
     if r3 < _rate(s, dz1) - 1e-9:
         raise InfeasibleError(
             f"violated: R3 >= 1/2 log2(s/D_Z1) = {_rate(s, dz1):g} bits",

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -284,3 +286,48 @@ def test_non_finite_config_value_and_sweep_bound_are_rejected(tmp_path, capsys):
     argv = [f"--{k}={v}" for k, v in GAUSS_CASCADE.items() if k != "r2"]
     assert main(["gaussian-cascade"] + argv + ["--sweep", "r2:lin:1:inf:4"]) == 2
     assert "'r2'" in capsys.readouterr().err
+
+
+def _provenance(path):
+    return dict(ln[2:].split(": ", 1) for ln in path.read_text().splitlines()
+                if ln.startswith("# "))
+
+
+@pytest.mark.parametrize("command, edited, flags", [
+    ("discrete-eval", "aux", ["--aux", "{aux}", "--setting", "cascade"]),
+    ("discrete-search", "source", ["--d1", "0.3", "--d2", "0.3", "--r2", "1",
+                                   "--u-size", "2", "--restarts", "1"]),
+    ("simulate", "source", ["--aux", "{aux}", "--n", "8", "--epsilon", "0.4",
+                            "--trials", "5"]),
+])
+def test_provenance_hashes_the_input_file_contents(tmp_path, ident_files, command,
+                                                   edited, flags):
+    src, aux = ident_files
+    paths = {"source": src, "aux": aux}
+    argv = [command, "--source", src] + [f.format(aux=aux) for f in flags]
+    out = tmp_path / "r.csv"
+    provs = []
+    for _ in range(2):
+        assert main(argv + ["--out", str(out)]) == 0
+        provs.append(_provenance(out))
+        with open(paths[edited], "a") as fh:
+            fh.write("# same path, edited contents\n")
+    first, second = provs
+    for name, path in paths.items():
+        key = f"{name}-sha256"
+        if name == "aux" and "--aux" not in argv:
+            assert key not in first
+        elif name == edited:
+            assert first[key] != second[key]
+        else:
+            with open(path, "rb") as fh:
+                assert first[key] == second[key] == hashlib.sha256(fh.read()).hexdigest()
+    assert first["config-hash"] != second["config-hash"]
+
+
+def test_unreadable_input_file_is_named_in_the_provenance(tmp_path):
+    out = tmp_path / "r.csv"
+    main(["discrete-eval", "--source", "/nonexistent/path.txt",
+          "--aux", "/nonexistent/aux.txt", "--setting", "cascade", "--out", str(out)])
+    prov = _provenance(out)
+    assert prov["source-sha256"] == prov["aux-sha256"] == "unreadable"

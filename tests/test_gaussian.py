@@ -18,6 +18,8 @@ from cascade_rd.gaussian import (
     triangular_min_r1,
     two_way_triangular_min_r1,
 )
+from cascade_rd.gaussian import _d2_slack, _feasible
+from oracles import gaussian_min_r1_oracle
 
 UNIT = GaussianCascadeSource(1.0, 1.0, 1.0)
 
@@ -348,3 +350,109 @@ def test_transform_matches_covariance():
         )
         target = np.array([[va + vb, vb], [vb, vb]])
         assert np.abs(built - target).max() <= 1e-12 * max(1.0, var_x)
+
+
+# ------------------------------------------------------- closed-form boundary
+
+
+def _forward_query(rng, i):
+    """(va, vb, d1, d2, r2): vb = 0 on every fifth query, d2 >= va on most of
+    every seventh, and r2 exactly on the threshold on every third."""
+    va = 10.0 ** rng.uniform(-1, 1)
+    vb = 0.0 if i % 5 == 0 else 10.0 ** rng.uniform(-1, 1)
+    s = va + vb
+    d1 = va * 10.0 ** rng.uniform(-1.3, -0.05)
+    if i % 7 == 0:
+        d2 = min(va * rng.uniform(1.0, 1.5), 0.9 * s)
+    else:
+        d2 = s * 10.0 ** rng.uniform(-1.2, -0.05)
+    thr = 0.5 * math.log2(s / d2)
+    r2 = thr if i % 3 == 0 else thr + rng.uniform(0.0, 2.0)
+    return va, vb, d1, d2, r2
+
+
+def test_boundary_alpha_is_minimal_and_matches_the_oracle():
+    # The returned alpha is feasible, and 1e-6 below it the exact margin of
+    # the distortion constraint is negative. (`_feasible` itself admits a
+    # band of 1e-9*k*t below the boundary; where the margin is tangent, as
+    # on the threshold, or grows slowly in alpha, the band reaches past a
+    # relative 1e-6.) On the threshold the feasible set is the single point
+    # alpha = beta = sqrt((s/d2 - 1)/s), which the oracle's grid cannot hit,
+    # so r1 is compared with that point instead.
+    rng = np.random.default_rng(41)
+    seen = {"beta_only": 0, "both_tight": 0, "stationary": 0}
+    for i in range(500):
+        va, vb, d1, d2, r2 = _forward_query(rng, i)
+        s, k, t = va + vb, va + vb - d2, 2.0 ** (2.0 * r2)
+        sol = cascade_min_r1(GaussianCascadeSource(va, vb, 1.0), d1, d2, r2)
+        seen[sol.branch] += 1
+        alpha = sol.aux.alpha
+        if alpha > 0:
+            assert _feasible(va, vb, k, t, alpha)[0], (i, sol)
+            assert _d2_slack(va, vb, k, t, alpha * (1.0 - 1e-6))[0] < 0, (i, sol)
+        if i % 3 == 0:
+            gamma2 = (s / d2 - 1.0) / s
+            want = max(0.5 * math.log2(va / d1), 0.5 * math.log2(1.0 + gamma2 * va))
+        else:
+            want = gaussian_min_r1_oracle(va, vb, d1, d2, r2)
+            if want is None:  # a feasible alpha interval narrower than a grid step
+                want = gaussian_min_r1_oracle(va, vb, d1, d2, r2, n=8000)
+        assert abs(sol.r1 - want) <= 1e-4, (i, sol, want)
+    assert seen["both_tight"] >= 100 and seen["stationary"] >= 100, seen
+
+
+@pytest.mark.parametrize("d2, r2, branch", [
+    (2.5, 0.7, "const_u"),  # d2 above var_a + var_b
+    (1.2, 1.5, "beta_only"),  # B alone meets d2 within the budget
+    (0.5, 1.0, "both_tight"),  # on the threshold: the diagonal alpha = beta
+    (0.5, 1.1, "both_tight"),
+    (0.5, 1.5, "stationary"),  # the stationary beta = 2 alpha fits the budget
+])
+def test_forward_solution_reports_its_branch(d2, r2, branch):
+    assert cascade_min_r1(UNIT, 0.25, d2, r2).branch == branch
+    assert triangular_min_r1(UNIT, 0.25, d2, r2, 0.0).branch == branch
+    assert two_way_triangular_min_r1(UNIT, 0.25, d2, 0.3, r2, 0.0, 1.0).branch == branch
+
+
+def test_r2_on_the_threshold_without_b_is_answered():
+    # var_b = 0: every candidate is the rate-tight alpha, which rounding used
+    # to push just past the budget, so this feasible query was refused
+    va, d2 = 7.95626658168367, 0.7722508514888111
+    src = GaussianCascadeSource(va, 0.0, 1.0)
+    thr = 0.5 * math.log2(va / d2)
+    stats = aux_stats(src, cascade_min_r1(src, 0.25 * va, d2, thr).aux)
+    assert stats.rate_u <= thr + 1e-12
+    assert stats.var_s_given_u <= d2 * (1 + 1e-9)
+
+
+# ----------------------------------------------------------- non-finite input
+
+
+_TWO_WAY = two_way_triangular_min_r1
+_EXT = extended_backward_achievability
+_REGION = extended_backward_region_check
+
+
+@pytest.mark.parametrize("call, name", [
+    pytest.param(lambda v: GaussianCascadeSource(v, 1.0, 1.0), "var_a", id="source-var_a"),
+    pytest.param(lambda v: GaussianCascadeSource(1.0, v, 1.0), "var_b", id="source-var_b"),
+    pytest.param(lambda v: GaussianCascadeSource(1.0, 1.0, v), "var_z", id="source-var_z"),
+    pytest.param(lambda v: cascade_min_r1(UNIT, v, 0.5, 1.5), "d1", id="cascade-d1"),
+    pytest.param(lambda v: cascade_min_r1(UNIT, 0.25, v, 1.5), "d2", id="cascade-d2"),
+    pytest.param(lambda v: cascade_min_r1(UNIT, 0.25, 0.5, v), "r2", id="cascade-r2"),
+    pytest.param(lambda v: triangular_min_r1(UNIT, 0.25, 0.5, 1.5, v), "r3",
+                 id="triangular-r3"),
+    pytest.param(lambda v: _TWO_WAY(UNIT, 0.25, 0.5, v, 1.5, 0.0, 1.0), "d3", id="two-way-d3"),
+    pytest.param(lambda v: _TWO_WAY(UNIT, 0.25, 0.5, 0.3, 1.5, 0.0, v), "r4", id="two-way-r4"),
+    pytest.param(lambda v: _EXT(UNIT, v, 0.25, 1.0, 1.0), "dz1", id="extended-dz1"),
+    pytest.param(lambda v: _EXT(UNIT, 0.125, v, 1.0, 1.0), "dz2", id="extended-dz2"),
+    pytest.param(lambda v: _EXT(UNIT, 0.125, 0.25, v, 1.0), "r3", id="extended-r3"),
+    pytest.param(lambda v: _EXT(UNIT, 0.125, 0.25, 1.0, v), "r4", id="extended-r4"),
+    pytest.param(lambda v: _REGION(UNIT, (v, 1.0, 0.0), (0.25, 0.125)), "r3", id="region-r3"),
+    pytest.param(lambda v: _REGION(UNIT, (1.0, 1.0, v), (0.25, 0.125)), "r5", id="region-r5"),
+    pytest.param(lambda v: _REGION(UNIT, (1.0, 1.0, 0.0), (0.25, v)), "dz2", id="region-dz2"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_is_refused_by_name(call, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        call(value)
