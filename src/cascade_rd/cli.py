@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import math
 import os
 import sys
@@ -195,13 +196,40 @@ def _resolve(args, params, swept: str | None = None):
     return values, seed
 
 
-def _file_sha256(path: str) -> str:
-    """Digest of the file's bytes; the rows that read an unreadable file say why."""
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError:
-        return "unreadable"
+def _read_inputs(values) -> tuple[dict, dict]:
+    """Digest and parsed contents of each input file, each read exactly once.
+
+    Returns ({"<name>-sha256": digest}, {name: contents}). The digest is of
+    the bytes that are parsed, so the provenance describes every row. A file
+    that cannot be read has the digest "unreadable"; one that cannot be read
+    or parsed keeps the exception as its contents, and each row that needs it
+    reports it.
+    """
+    digests, inputs = {}, {}
+    loaders = {"source": discrete.load_source_spec, "aux": discrete.load_aux}
+    for name, load in loaders.items():
+        if name not in values:
+            continue
+        try:
+            with open(values[name], "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            digests[f"{name}-sha256"], inputs[name] = "unreadable", exc
+            continue
+        digests[f"{name}-sha256"] = hashlib.sha256(data).hexdigest()
+        try:
+            text = io.TextIOWrapper(io.BytesIO(data)).read()  # as open(path) decodes
+            inputs[name] = load(text)
+        except Exception as exc:  # noqa: BLE001 - reported by the rows
+            inputs[name] = exc
+    return digests, inputs
+
+
+def _loaded(contents):
+    """Parsed contents of an input file, or the error that reading it raised."""
+    if isinstance(contents, Exception):
+        raise contents
+    return contents
 
 
 def _config_hash(command, values, seed, dest, vals) -> str:
@@ -217,8 +245,7 @@ def _run_points(command, args, params, in_cols, out_cols, compute):
     """Shared driver: resolve params, expand the sweep, evaluate each point."""
     dest, vals = _parse_sweep(args.sweep, params) if args.sweep else (None, [None])
     values, seed = _resolve(args, params, swept=dest)
-    digests = {f"{name}-sha256": _file_sha256(values[name])
-               for name in ("source", "aux") if name in values}
+    digests, inputs = _read_inputs(values)
     table = ResultTable(
         columns=in_cols + out_cols + ["status", "detail"],
         provenance={
@@ -234,6 +261,7 @@ def _run_points(command, args, params, in_cols, out_cols, compute):
         if dest is not None:
             point[dest] = v
         row = {c: point.get(c) for c in in_cols}
+        point.update(inputs)  # the commands read the parsed files, not the paths
         try:
             row.update(compute(point, seed))
             row["status"] = "ok"
@@ -302,16 +330,6 @@ def cmd_gaussian_extended(point, seed):
     }
 
 
-def _load_source(path):
-    with open(path) as fh:
-        return discrete.load_source_spec(fh.read())
-
-
-def _load_aux(path):
-    with open(path) as fh:
-        return discrete.load_aux(fh.read())
-
-
 _EVALUATORS = {
     "cascade": discrete.eval_cascade_point,
     "triangular": discrete.eval_triangular_point,
@@ -327,13 +345,13 @@ def cmd_discrete_eval(point, seed):
         raise ConfigError(
             f"unknown setting {setting!r}; choose from {sorted(_EVALUATORS)}"
         )
-    pt = _EVALUATORS[setting](_load_source(point["source"]), _load_aux(point["aux"]))
+    pt = _EVALUATORS[setting](_loaded(point["source"]), _loaded(point["aux"]))
     return {k: getattr(pt, k) for k in ("r1", "r2", "r3", "r4", "rh", "d1", "d2", "d3")}
 
 
 def cmd_discrete_search(point, seed):
     res = discrete.min_r1_cascade_search(
-        _load_source(point["source"]), point["d1"], point["d2"], point["r2"],
+        _loaded(point["source"]), point["d1"], point["d2"], point["r2"],
         u_size=point["u_size"], restarts=point["restarts"], seed=seed,
     )
     return {
@@ -344,7 +362,7 @@ def cmd_discrete_search(point, seed):
 
 def cmd_simulate(point, seed):
     res = simulate.run_simulation(
-        _load_source(point["source"]), _load_aux(point["aux"]),
+        _loaded(point["source"]), _loaded(point["aux"]),
         simulate.TypicalityParams(epsilon=point["epsilon"], n=point["n"]),
         delta=point["delta"], trials=point["trials"], seed=seed,
     )

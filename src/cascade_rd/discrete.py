@@ -10,6 +10,12 @@ Each setting is data (`_SETTINGS`): the axes of its joint pmf, the auxiliary
 channels that multiply the source into that joint, its rate terms and its
 distortion terms. One evaluator, `_evaluate`, validates and evaluates them
 all on top of the information core in `probability`.
+
+The search and the oracle evaluate stacks of tables through the batch axis
+of that core: the finite-difference gradient of one exponentiated-gradient
+step is one stack, the relay solve's bisection runs as a speculative tree of
+Blahut-Arimoto solves, and the oracle enumerates channels in bounded chunks.
+Every answer is bit-identical to evaluating the tables one at a time.
 """
 
 from __future__ import annotations
@@ -151,16 +157,23 @@ class _Setting:
         return _joint(self.ndim, *zip(tables, self.factor_axes))
 
     def evaluate(self, tables, maps, dists):
-        """Rates and distortions of raw tables by name, no validation."""
+        """Rates and distortions of raw tables by name, no validation.
+
+        Factor tables may be stacks (a leading batch axis, see
+        `probability.joint`); then every value is an array over the stack,
+        bit-identical per row to evaluating that row alone. Maps are shared.
+        """
         joint = self.joint(tables)
-        out = {r: _cmi(joint, a, b, c) for r, a, b, c in self.rates}
+        batched = joint.ndim > self.ndim
+        out = {r: _cmi(joint, a, b, c, batched) for r, a, b, c in self.rates}
         for d, keep, recon, perm, post in self.terms:
             if perm is None:
-                sel = dists[d][:, : joint.shape[recon]]
+                sel = dists[d][:, : joint.shape[recon + batched]]
             else:
                 sel = dists[d][:, maps[recon].transpose(perm)]
                 sel = sel if post is None else sel.transpose(post)
-            out[d] = float((_marginal(joint, keep) * sel).sum())
+            terms = _marginal(joint, keep, batched) * sel
+            out[d] = terms.reshape(len(terms), -1).sum(axis=1) if batched else float(terms.sum())
         return out
 
 
@@ -301,9 +314,12 @@ def _cascade_quantities(pxyz, p_u, p_xhat1, g2_table, d1, d2):
 
 
 def _g2_best_response(pxyz, p_u, d2):
-    """Distortion-minimizing terminal map; ties go to the lowest index."""
-    m_xzu = _joint(4, (pxyz, (0, 1, 2)), (p_u, (0, 1, 3))).sum(axis=1)  # (X, Z, U)
-    cost = np.einsum("xzu,xh->uzh", m_xzu, d2)
+    """Distortion-minimizing terminal map; ties go to the lowest index.
+
+    A stack of p_u tables gives a stack of maps.
+    """
+    m_xzu = _joint(4, (pxyz, (0, 1, 2)), (p_u, (0, 1, 3))).sum(axis=-3)  # (X, Z, U)
+    cost = np.einsum("...xzu,xh->...uzh", m_xzu, d2)
     return np.argmin(cost, axis=-1)  # (U, Z)
 
 
@@ -319,12 +335,22 @@ def _xhat1_zero_rate(pxyu, d1, n_hat):
     return t
 
 
+# depth of the tree of multipliers that one batched Blahut-Arimoto run of the
+# relay solve tries: 2**depth - 1 solves buy `depth` steps of its bisection
+_BISECT_DEPTH = 4
+
+
 def _xhat1_rd_solve(pxyz, p_u, d1, n_hat, d1_target, ba_iters=80, bisect_iters=40):
     """Conditional rate-distortion channel for the relay reconstruction.
 
     Minimizes I(X; Xhat1 | U, Y) subject to E d1 <= d1_target for fixed p_u,
     by Blahut-Arimoto iterations with a bisected distortion multiplier.
-    Returns the channel table p(xhat1|x,y,u).
+    The bisection is speculative: one batched Blahut-Arimoto run solves all
+    2**_BISECT_DEPTH - 1 midpoints that the next _BISECT_DEPTH steps could
+    visit (each by the same 0.5*(lo + hi) recursion), and then the steps are
+    taken. Every member of the batch stops at the iteration where it alone
+    would stop, so the channel is bit-identical to a one-at-a-time
+    bisection's. Returns the channel table p(xhat1|x,y,u).
     """
     pxy = pxyz.sum(axis=2)
     pxyu = pxy[:, :, None] * p_u  # (X, Y, U)
@@ -346,45 +372,69 @@ def _xhat1_rd_solve(pxyz, p_u, d1, n_hat, d1_target, ba_iters=80, bisect_iters=4
     def renorm(t):
         s = t.sum(axis=-1, keepdims=True)
         # zero-probability conditioning cells get an arbitrary (uniform) row
-        return np.where(s > 1e-200, t / np.maximum(s, 1e-300), 1.0 / t.shape[-1])
+        out = np.full(t.shape, 1.0 / t.shape[-1])
+        return np.divide(t, s, out=out, where=s > 1e-200)
 
-    def ba(lam):
-        phi = np.full(pxyu.shape + (n_hat,), 1.0 / n_hat)
-        w = np.exp(-lam * np.log(2.0) * d1t)  # (X, H)
+    def ba(lams):
+        """Channels (B, X, Y, U, H) and distortions (B,) at the multipliers."""
+        lams = np.array(lams)[:, None, None]
+        phi = np.full((len(lams),) + pxyu.shape + (n_hat,), 1.0 / n_hat)
+        w = np.exp(-lams * np.log(2.0) * d1t)  # (B, X, H)
+        live = np.ones(len(lams), dtype=bool)
         for _ in range(ba_iters):
-            q = renorm(np.einsum("xyu,xyuh->yuh", pxyu, phi))
-            new = renorm(q[None, :, :, :] * w[:, None, None, :])
-            if np.abs(new - phi).max() < 1e-12:
+            q = renorm(np.einsum("xyu,bxyuh->byuh", pxyu, phi))
+            new = renorm(q[:, None, :, :, :] * w[:, :, None, None, :])
+            done = np.abs(new - phi).reshape(len(new), -1).max(axis=1) < 1e-12
+            if live.all():
                 phi = new
+            else:
+                phi[live] = new[live]
+            live &= ~done
+            if not live.any():
                 break
-            phi = new
-        dist = float(np.einsum("xyu,xyuh,xh->", pxyu, phi, d1t))
-        return phi, dist
+        return phi, np.einsum("xyu,bxyuh,xh->b", pxyu, phi, d1t)
 
     lam_lo, lam_hi = 0.0, 4.0 / max(d1t.max(), 1e-12)
-    phi_hi, dist_hi = ba(lam_hi)
+    phis, dists = ba([lam_hi])
     for _ in range(60):
-        if dist_hi <= d1_target:
+        if dists[0] <= d1_target:
             break
         lam_hi *= 4.0
-        phi_hi, dist_hi = ba(lam_hi)
-    best = phi_hi
-    for _ in range(bisect_iters):
-        lam = 0.5 * (lam_lo + lam_hi)
-        phi, dist = ba(lam)
-        if dist <= d1_target:
-            lam_hi, best = lam, phi
-        else:
-            lam_lo = lam
+        phis, dists = ba([lam_hi])
+    best = phis[0]
+    steps = bisect_iters
+    while steps > 0:
+        depth = min(_BISECT_DEPTH, steps)
+        # the tree's midpoints in heap order: node i has children 2i+1 (the
+        # lower half of its bracket) and 2i+2 (the upper half)
+        lams, brackets = [], [(lam_lo, lam_hi)]
+        for _ in range(depth):
+            mids = [0.5 * (lo + hi) for lo, hi in brackets]
+            lams += mids
+            brackets = [half for (lo, hi), mid in zip(brackets, mids)
+                        for half in ((lo, mid), (mid, hi))]
+        phis, dists = ba(lams)
+        node = 0
+        for _ in range(depth):
+            if dists[node] <= d1_target:
+                lam_hi, best, node = lams[node], phis[node], 2 * node + 1
+            else:
+                lam_lo, node = lams[node], 2 * node + 2
+        steps -= depth
     return best
 
 
 def _search_objective(pxyz, p_u_raw, p_xhat1, g2_table, d1, d2, r2_cap, d2_cap, weight):
+    """Penalized r1 of one p_u table, or of each table of a stack."""
     p_u = p_u_raw / p_u_raw.sum(axis=-1, keepdims=True)
     r1, r2, _, d2v = _cascade_quantities(pxyz, p_u, p_xhat1, g2_table, d1, d2)
     d2scale = max(float(d2.max()), 1e-12)
-    pen = max(0.0, r2 - r2_cap) ** 2 + (max(0.0, d2v - d2_cap) / d2scale) ** 2
-    return r1 + weight * pen
+    # squares by Python's float power, which can differ from numpy's square
+    # in the last bit
+    pen = np.array([max(0.0, a - r2_cap) ** 2 + (max(0.0, b - d2_cap) / d2scale) ** 2
+                    for a, b in zip(np.atleast_1d(r2).tolist(), np.atleast_1d(d2v).tolist())])
+    out = r1 + weight * pen
+    return out if p_u_raw.ndim > 3 else float(out[0])
 
 
 def _blend_to_rate(pxyz, p_u, cap):
@@ -520,7 +570,11 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
 
 def _eg_steps(pxyz, p_u, p_xhat1, g2_table, d1, d2, r2_cap, d2_cap, weight,
               steps: int = 8, eta: float = 0.5):
-    """Exponentiated-gradient pass on p(u|x,y) with finite-difference gradients."""
+    """Exponentiated-gradient pass on p(u|x,y) with finite-difference gradients.
+
+    The 2|X||Y||U| perturbed tables of one gradient are evaluated as one
+    stack; the line search stays sequential.
+    """
     h = 1e-6
 
     def f(raw):
@@ -530,17 +584,14 @@ def _eg_steps(pxyz, p_u, p_xhat1, g2_table, d1, d2, r2_cap, d2_cap, weight,
     cur = p_u.copy()
     f_cur = f(cur)
     step = eta
+    n = cur.size
+    diag = (np.arange(n), np.arange(n))
     for _ in range(steps):
-        grad = np.zeros_like(cur)
-        it = np.nditer(cur, flags=["multi_index"])
-        while not it.finished:
-            idx = it.multi_index
-            up = cur.copy()
-            up[idx] += h
-            dn = cur.copy()
-            dn[idx] = max(dn[idx] - h, 1e-12)
-            grad[idx] = (f(up) - f(dn)) / (up[idx] - dn[idx])
-            it.iternext()
+        up_val, dn_val = cur.ravel() + h, np.maximum(cur.ravel() - h, 1e-12)
+        stack = np.tile(cur.ravel(), (2 * n, 1))  # row i (n + i) moves entry i up (down)
+        stack[:n][diag], stack[n:][diag] = up_val, dn_val
+        vals = f(stack.reshape((2 * n,) + cur.shape))
+        grad = ((vals[:n] - vals[n:]) / (up_val - dn_val)).reshape(cur.shape)
         scale = max(np.abs(grad).max(), 1e-12)
         improved = False
         for _ in range(8):
@@ -566,6 +617,7 @@ ORACLE_SLACK_BITS = {1: 1.0, 2: 0.25, 3: 0.12, 4: 0.08, 5: 0.06, 6: 0.05,
                      7: 0.04, 8: 0.035, 9: 0.03}
 
 _MAX_ORACLE_CHANNELS = 2_000_000
+_PARETO_BLOCK = 256  # rows of the frontier pass tested against the kept points at once
 
 
 def _simplex_grid(m: int, resolution: int) -> np.ndarray:
@@ -600,22 +652,37 @@ def brute_force_region_oracle(src: SourceSpec, u_size: int, resolution: int):
         raise ResourceLimitError("oracle is limited to |U| <= 3")
     if resolution > 9:
         raise ResourceLimitError("oracle is limited to 9 probability levels")
-    pts = [tuple(p) for p in _enumerate_oracle_points(src, u_size, resolution)]
-    return _pareto_min(np.array(sorted(set(pts))))
+    pts = set()
+    for chunk in _enumerate_oracle_points(src, u_size, resolution):
+        pts.update(map(tuple, chunk.tolist()))
+    return _pareto_min(np.array(sorted(pts)))
 
 
 def oracle_min_r1(src: SourceSpec, u_size: int, resolution: int,
                   d1_target: float, d2_target: float, r2_budget: float):
     """Least r1 among enumerated points meeting the query; None if none do."""
     best = None
-    for r1, r2, d1v, d2v in _enumerate_oracle_points(src, u_size, resolution):
-        if r2 <= r2_budget + 1e-9 and d1v <= d1_target + 1e-9 and d2v <= d2_target + 1e-9:
-            if best is None or r1 < best:
-                best = r1
+    for chunk in _enumerate_oracle_points(src, u_size, resolution):
+        r1, r2, d1v, d2v = chunk.T
+        ok = (r2 <= r2_budget + 1e-9) & (d1v <= d1_target + 1e-9) & (d2v <= d2_target + 1e-9)
+        if ok.any():
+            low = float(r1[ok].min())
+            best = low if best is None else min(best, low)
     return best
 
 
+# joint-table entries per chunk of enumerated channels, which bounds each of
+# the chunk's arrays to 1 MiB of float64
+_ORACLE_CHUNK_ENTRIES = 1 << 17
+
+
 def _enumerate_oracle_points(src: SourceSpec, u_size: int, resolution: int):
+    """Rows (r1, r2, d1, d2) of every enumerated point, in chunks of channels.
+
+    Each chunk is an array of shape (points, 4): per channel, in the order
+    of itertools.product over the lattice rows, the zero-rate relay
+    reconstruction and then every per-symbol map f(x).
+    """
     pxyz = src.pmf.probs
     nx, ny, nz = src.pmf.sizes
     px = pxyz.sum(axis=(1, 2))
@@ -628,7 +695,7 @@ def _enumerate_oracle_points(src: SourceSpec, u_size: int, resolution: int):
         xhat1 = np.zeros((nx, ny, u_size, n_hat1))
         best_const = int(np.argmin(px @ src.d1))
         xhat1[:, :, :, best_const] = 1.0
-        yield _cascade_quantities(pxyz, p_u, xhat1, g2, src.d1, src.d2)
+        yield np.array([_cascade_quantities(pxyz, p_u, xhat1, g2, src.d1, src.d2)])
         return
 
     rows = _simplex_grid(u_size, resolution)
@@ -639,58 +706,83 @@ def _enumerate_oracle_points(src: SourceSpec, u_size: int, resolution: int):
             f"{total} channels exceed the oracle cap {_MAX_ORACLE_CHANNELS}; "
             "reduce the resolution or u_size"
         )
-    fmaps = _det_xhat1_options(nx, n_hat1)
+    fmaps = np.array(_det_xhat1_options(nx, n_hat1)).reshape(-1, nx)
     pxy = pxyz.sum(axis=2)
     d1t = src.d1
+    d1_fmaps = [float((px * d1t[np.arange(nx), sel]).sum()) for sel in fmaps]
+    chunk = max(1, _ORACLE_CHUNK_ENTRIES // (nx * ny * nz * u_size))
 
-    for combo in itertools.product(range(len(rows)), repeat=n_rows):
-        p_u = rows[list(combo)].reshape(nx, ny, u_size)
-        joint_u = _joint(4, (pxyz, (0, 1, 2)), (p_u, (0, 1, 3)))
-        r1_base = _cmi(joint_u, (0,), (3,), (1,))
-        r2 = _cmi(joint_u, (3,), (0, 1), (2,))
-        g2 = _g2_best_response(pxyz, p_u, src.d2)
-        m_xzu = joint_u.sum(axis=1)
-        d2v = float((m_xzu * src.d2[:, g2.T]).sum())
+    for start in range(0, total, chunk):
+        combos = np.unravel_index(np.arange(start, min(start + chunk, total)),
+                                  (len(rows),) * n_rows)
+        p_u = rows[np.stack(combos, axis=-1)].reshape(-1, nx, ny, u_size)
+        # the cascade joint without its relay factor, whose axis then has size
+        # 1: r1 is I(X; U | Y), the rate with the zero-rate reconstruction
+        joint_u = _CASCADE.joint((pxyz, p_u))
+        rates = {r: _cmi(joint_u, a, b, c, True) for r, a, b, c in _CASCADE.rates}
+        r1_base, r2 = rates["r1"], rates["r2"]
+        g2 = _g2_best_response(pxyz, p_u, src.d2)  # (B, U, Z)
+        m_xzu = _marginal(joint_u, (0, 2, 3), True)
+        sel = src.d2[np.arange(nx)[:, None, None], g2.transpose(0, 2, 1)[:, None]]
+        d2v = (m_xzu * sel).reshape(len(p_u), -1).sum(axis=1)
         # zero-rate relay reconstruction f(y, u)
         pxyu = pxy[:, :, None] * p_u
-        cost = np.einsum("xyu,xh->yuh", pxyu, d1t)
-        d1_zero = float(cost.min(axis=-1).sum())
-        yield (r1_base, r2, d1_zero, d2v)
+        cost = np.einsum("bxyu,xh->byuh", pxyu, d1t)
+        d1_zero = cost.min(axis=-1).reshape(len(p_u), -1).sum(axis=1)
         # per-symbol deterministic reconstructions f(x)
-        for fmap in fmaps:
-            sel = np.array(fmap)
-            d1v = float((px * d1t[np.arange(nx), sel]).sum())
-            extra = _cmi_fx(joint_u, sel, n_hat1)
-            yield (r1_base + extra, r2, d1v, d2v)
+        extra = _cmi_fx(_marginal(joint_u, (0, 1, 3), True), fmaps, n_hat1)  # (B, F)
+        points = np.empty((len(p_u), 1 + len(fmaps), 4))
+        points[:, 0] = np.stack([r1_base, r2, d1_zero, d2v], axis=-1)
+        points[:, 1:, 0] = r1_base[:, None] + extra
+        points[:, 1:, 1] = r2[:, None]
+        points[:, 1:, 2] = d1_fmaps
+        points[:, 1:, 3] = d2v[:, None]
+        yield points.reshape(-1, 4)
 
 
-def _cmi_fx(joint_u, sel, n_hat1):
-    """I(X; f(X) | U, Y) for a deterministic per-symbol map f."""
-    nx = joint_u.shape[0]
-    m_xyu = joint_u.sum(axis=2)  # (X, Y, U)
-    m_cyu = np.zeros((n_hat1,) + m_xyu.shape[1:])
-    for x in range(nx):
-        m_cyu[sel[x]] += m_xyu[x]
-    h_c_uy = table_entropy(m_cyu) - table_entropy(m_xyu.sum(axis=0))
-    return max(0.0, h_c_uy)
+def _cmi_fx(m_xyu, fmaps, n_hat1):
+    """I(X; f(X) | U, Y) of a stack of p(x, y, u) tables, one column per map f."""
+    h_yu = table_entropy(m_xyu.sum(axis=1), True)
+    out = np.empty((len(m_xyu), len(fmaps)))
+    for i, sel in enumerate(fmaps):
+        m_cyu = np.zeros((len(m_xyu), n_hat1) + m_xyu.shape[2:])
+        for x in range(m_xyu.shape[1]):
+            m_cyu[:, sel[x]] += m_xyu[:, x]
+        h_c_uy = table_entropy(m_cyu, True) - h_yu
+        out[:, i] = np.where(h_c_uy > 0.0, h_c_uy, 0.0)
+    return out
 
 
 def _pareto_min(points: np.ndarray):
-    """Non-dominated subset under componentwise minimization."""
+    """Non-dominated subset under componentwise minimization.
+
+    q dominates p when q <= p + 1e-12 everywhere and q < p - 1e-12 somewhere.
+    The result is that of one pass in row order, which keeps each point that
+    no kept point dominates and drops the kept points it dominates; it comes
+    in row order. With the tolerance, dominance need not be transitive, so
+    the pass is replayed exactly, a block of rows at a time: when no row of
+    the block dominates a kept point, no kept point leaves during the block,
+    and the rows a kept point dominates are skipped together.
+    """
     if points.size == 0:
         return []
-    keep = []
-    for p in points:
-        dominated = False
-        for q in keep:
-            if np.all(q <= p + 1e-12) and np.any(q < p - 1e-12):
-                dominated = True
-                break
-        if not dominated:
-            keep = [q for q in keep if not (np.all(p <= q + 1e-12) and np.any(p < q - 1e-12))]
-            keep.append(p)
+
+    def dominates(q, p):  # (len(q), len(p)) table of "q[i] dominates p[j]"
+        q, p = q[:, None, :], p[None, :, :]
+        return (q <= p + 1e-12).all(axis=-1) & (q < p - 1e-12).any(axis=-1)
+
+    keep = np.zeros(len(points), dtype=bool)
+    for start in range(0, len(points), _PARETO_BLOCK):
+        rows = np.arange(start, min(start + _PARETO_BLOCK, len(points)))
+        kept = points[keep]
+        if not dominates(points[rows], kept).any():
+            rows = rows[~dominates(kept, points[rows]).any(axis=0)]
+        for j in rows:
+            if not dominates(points[keep], points[j : j + 1]).any():
+                keep[keep] = ~dominates(points[j : j + 1], points[keep])[0]
+                keep[j] = True
     return [RegionPoint(r1=float(p[0]), r2=float(p[1]), d1=float(p[2]), d2=float(p[3]))
-            for p in keep]
+            for p in points[keep]]
 
 
 # --------------------------------------------------------------- serialization

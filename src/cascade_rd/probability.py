@@ -160,25 +160,44 @@ def _validate_subset(subset, arity: int, name: str) -> tuple[int, ...]:
 
 # ------------------------------------------------------------ raw-array core
 # No validation here: these run inside the search and simulator loops, on
-# tables the callers have already checked.
+# tables the callers have already checked. With `batched`, axis 0 of a table
+# indexes a stack of tables, axis tuples count the axes of one table, and the
+# results are per table; every row is bit-identical to the unbatched call on
+# that table alone.
 
 
-def marginal(joint: np.ndarray, keep) -> np.ndarray:
+def marginal(joint: np.ndarray, keep, batched: bool = False) -> np.ndarray:
     """Marginal of a raw table over the axes `keep`, in ascending axis order."""
-    keep = set(keep)
-    drop = tuple(i for i in range(joint.ndim) if i not in keep)
+    lead = int(batched)
+    keep = {k + lead for k in keep}
+    drop = tuple(i for i in range(lead, joint.ndim) if i not in keep)
     return joint.sum(axis=drop) if drop else joint
 
 
-def table_entropy(table: np.ndarray) -> float:
-    """Entropy in bits of a raw probability table (any shape)."""
-    p = table.ravel()
-    # 0 log 0 := 0 by continuity
+def table_entropy(table: np.ndarray, batched: bool = False):
+    """Entropy in bits of a raw probability table (any shape), or per table of a stack."""
+    if not batched:
+        p = table.ravel()
+        # 0 log 0 := 0 by continuity
+        nz = p > 0.0
+        return float(-(p[nz] * np.log2(p[nz])).sum())
+    # numpy's pairwise sum groups a row's terms by the row's length from 8
+    # terms up, so each row sums exactly its nonzero terms, in table order:
+    # a stable partition moves them to the front, and the rows with k of
+    # them sum the contiguous slice [:, :k] together
+    p = table.reshape(len(table), -1)
     nz = p > 0.0
-    return float(-(p[nz] * np.log2(p[nz])).sum())
+    p = np.take_along_axis(p, np.argsort(~nz, axis=1, kind="stable"), axis=1)
+    terms = p * np.log2(np.where(p > 0.0, p, 1.0))
+    counts = nz.sum(axis=1)
+    out = np.empty(len(p))
+    for k in np.flatnonzero(np.bincount(counts)):  # np.unique would import numpy.ma
+        rows = np.flatnonzero(counts == k)
+        out[rows] = -terms[rows, :k].sum(axis=1)
+    return out
 
 
-def cmi(joint: np.ndarray, a, b, c=()) -> float:
+def cmi(joint: np.ndarray, a, b, c=(), batched: bool = False):
     """I(A;B|C) in bits on a raw joint table, for axis tuples a, b and c.
 
     Computed as H(A,C) + H(B,C) - H(A,B,C) - H(C), with tiny negative
@@ -187,27 +206,34 @@ def cmi(joint: np.ndarray, a, b, c=()) -> float:
     exact to the last bit.
     """
     a, b, c = tuple(a), tuple(b), tuple(c)
-    if all(joint.shape[i] == 1 for i in a) or all(joint.shape[i] == 1 for i in b):
-        return 0.0
-    h_ac = table_entropy(marginal(joint, a + c))
-    h_bc = table_entropy(marginal(joint, b + c))
-    h_abc = table_entropy(marginal(joint, a + b + c))
-    h_c = table_entropy(marginal(joint, c)) if c else 0.0
-    return max(0.0, h_ac + h_bc - h_abc - h_c)
+    shape = joint.shape[int(batched):]
+    if all(shape[i] == 1 for i in a) or all(shape[i] == 1 for i in b):
+        return np.zeros(len(joint)) if batched else 0.0
+
+    def h(axes):
+        return table_entropy(marginal(joint, axes, batched), batched)
+
+    v = h(a + c) + h(b + c) - h(a + b + c) - (h(c) if c else 0.0)
+    return np.where(v > 0.0, v, 0.0) if batched else max(0.0, v)
 
 
 def joint(ndim: int, *factors) -> np.ndarray:
     """Product of (table, axes) factors broadcast onto an ndim-axis joint.
 
     The axes of each table land, in order, on the ascending joint axes
-    `axes`. Factors multiply left to right, so the result is bit-identical
-    to the same product written out with None-indexing.
+    `axes`. A table with one axis more than `axes` is a stack of tables: its
+    first axis lands on a leading batch axis of the result. Factors multiply
+    left to right, so the result is bit-identical to the same product
+    written out with None-indexing.
     """
+    lead = max(table.ndim - len(axes) for table, axes in factors)
     out = None
     for table, axes in factors:
-        shape = [1] * ndim
-        for ax, size in zip(axes, table.shape):
-            shape[ax] = size
+        shape = [1] * (lead + ndim)
+        if table.ndim > len(axes):
+            shape[0] = table.shape[0]
+        for ax, size in zip(axes, table.shape[table.ndim - len(axes):]):
+            shape[lead + ax] = size
         t = table.reshape(shape)
         out = t if out is None else out * t
     return out

@@ -3,6 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from cascade_rd import discrete
 from cascade_rd.cli import ConfigError, load_config, main
 from cascade_rd.discrete import (
     AuxiliarySystem,
@@ -331,3 +332,49 @@ def test_unreadable_input_file_is_named_in_the_provenance(tmp_path):
           "--aux", "/nonexistent/aux.txt", "--setting", "cascade", "--out", str(out)])
     prov = _provenance(out)
     assert prov["source-sha256"] == prov["aux-sha256"] == "unreadable"
+
+
+# the data cells after the two path columns, captured from the parser that
+# re-read the files for every row: reading them once must not change a bit
+SIM_SWEEP_ROWS = [
+    "8,0.4,0.1,20,0.45,0.85,0.85,0.85,0,0.75,0.425,0.0573199698828,0.425,"
+    "0.0573199698828,3,0.25,0.25,ok,",
+    "8,0.4,0.12,20,0.45,0.85,0.85,0.85,0,0.75,0.425,0.0573199698828,0.425,"
+    "0.0573199698828,3,0.25,0.25,ok,",
+    "8,0.4,0.14,20,0.45,0.85,0.85,0.85,0,0.75,0.425,0.0573199698828,0.425,"
+    "0.0573199698828,3,0.25,0.25,ok,",
+    "8,0.4,0.16,20,0.45,0.85,0.85,0.85,0,0.75,0.425,0.0573199698828,0.425,"
+    "0.0573199698828,3,0.25,0.25,ok,",
+    "8,0.4,0.18,20,0.45,0.85,0.85,0.85,0,0.75,0.425,0.0573199698828,0.425,"
+    "0.0573199698828,3,0.25,0.25,ok,",
+    "8,0.4,0.2,20,0.45,0.65,0.65,0.65,0.05,0.7,0.40625,0.0637768261411,0.4125,"
+    "0.0618275402781,5,0.25,0.25,ok,",
+]
+
+
+def test_sweep_reads_and_parses_each_input_file_once(tmp_path, ident_files, monkeypatch):
+    src, aux = ident_files
+    calls = {"load_source_spec": 0, "load_aux": 0}
+    for name in calls:
+        def counted(text, parse=getattr(discrete, name), name=name):
+            calls[name] += 1
+            return parse(text)
+        monkeypatch.setattr(discrete, name, counted)
+    out = tmp_path / "sweep.csv"
+    assert main(["simulate", "--source", src, "--aux", aux, "--n", "8", "--epsilon", "0.4",
+                 "--trials", "20", "--seed", "3", "--sweep", "delta:lin:0.1:0.2:6",
+                 "--out", str(out)]) == 0
+    assert calls == {"load_source_spec": 1, "load_aux": 1}
+    lines = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
+    assert [ln.split(",", 2)[2] for ln in lines[1:]] == SIM_SWEEP_ROWS
+
+
+def test_unparsable_input_file_gives_an_error_row_per_point(tmp_path, ident_files):
+    _, aux = ident_files
+    out = tmp_path / "r.csv"
+    assert main(["discrete-search", "--source", aux, "--d1", "0.1", "--d2", "0.36",
+                 "--r2", "0.4", "--u-size", "2", "--sweep", "d2:lin:0.33:0.36:2",
+                 "--out", str(out)]) == 1
+    rows = read_rows(out)
+    assert [r["status"] for r in rows] == ["error", "error"]
+    assert all("unexpected block 'p_u'" in r["detail"] for r in rows)

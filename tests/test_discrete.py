@@ -2,8 +2,13 @@ import numpy as np
 import pytest
 
 from cascade_rd.discrete import (
+    _SETTINGS,
     AuxiliarySystem,
+    RegionPoint,
     SourceSpec,
+    _pareto_min,
+    _xhat1_rd_solve,
+    _xhat1_zero_rate,
     brute_force_region_oracle,
     eval_cascade_point,
     eval_helper_triangular_point,
@@ -564,3 +569,180 @@ def test_repeated_block_is_refused_by_name():
     with pytest.raises(ValueError, match="'g2' appears more than once"):
         load_aux(aux_text + g2_block)
 
+
+
+# ----------------------------------------------------------------- batching
+
+
+def _random_source_tables(rng):
+    nx, ny, nz = (int(s) for s in rng.integers(1, 4, size=3))
+    nx = max(nx, 2)
+    pxyz = (rng.dirichlet(np.ones(nx))[:, None, None]
+            * rng.dirichlet(np.ones(ny), size=nx)[:, :, None]
+            * rng.dirichlet(np.ones(nz), size=ny)[None, :, :])
+    if rng.random() < 0.3:
+        zero = rng.random(pxyz.shape) < 0.3
+        zero.flat[np.argmax(pxyz)] = False
+        pxyz[zero] = 0.0
+        pxyz /= pxyz.sum()
+    d1 = rng.random((nx, int(rng.integers(2, 4))))
+    d2 = rng.random((nx, int(rng.integers(2, 4))))
+    return pxyz, d1, d2
+
+
+def test_setting_evaluate_on_a_stack_is_bit_identical_per_row():
+    rng = np.random.default_rng(81)
+    for trial in range(100):
+        name = list(_SETTINGS)[trial % len(_SETTINGS)]
+        s = _SETTINGS[name]
+        pxyz, d1, d2 = _random_source_tables(rng)
+        d3 = rng.random((pxyz.shape[2], int(rng.integers(1, 4))))
+        dists = {"d1": d1, "d2": d2, "d3": d3}
+        n = dict(zip("XYZ", pxyz.shape), Xhat1=d1.shape[1])
+        batch = 1 if trial % 10 == 0 else int(rng.integers(2, 12))
+        tables = [pxyz]
+        for i, axes in enumerate(s.factors.values()):
+            n.setdefault(axes[-1], int(rng.integers(1, 4)))
+            shape = tuple(n[a] for a in axes)
+            t = rng.dirichlet(np.ones(shape[-1]), size=(batch,) + shape[:-1])
+            t[rng.random(t.shape) < 0.2] = 0.0
+            t[..., 0] += 1e-9
+            t /= t.sum(axis=-1, keepdims=True)
+            tables.append(t if i == 0 or rng.random() < 0.5 else t[0])
+        maps = {g: rng.integers(0, dists["d2" if g == "g2" else "d3"].shape[1],
+                                size=tuple(n[a] for a in axes))
+                for g, axes in s.maps.items()}
+        stacked = s.evaluate(tuple(tables), maps, dists)
+        for r in range(batch):
+            row = tuple(t[r] if t.ndim > len(axes) else t
+                        for t, axes in zip(tables, s.factor_axes))
+            one = s.evaluate(row, maps, dists)
+            assert {k: float(v).hex() for k, v in one.items()} == \
+                   {k: float(v[r]).hex() for k, v in stacked.items()}, name
+
+
+def _sequential_rd_solve(pxyz, p_u, d1, n_hat, d1_target, ba_iters=80, bisect_iters=40):
+    """The relay solve with one Blahut-Arimoto run per bisection step.
+
+    Returns the channel and the exit taken: "zero", "floor", or the number of
+    times the multiplier bracket grew before the bisection.
+    """
+    pxy = pxyz.sum(axis=2)
+    pxyu = pxy[:, :, None] * p_u
+    d1t = d1[:, :n_hat]
+    d_floor = float((pxy.sum(axis=1) * d1t.min(axis=1)).sum())
+    zero = _xhat1_zero_rate(pxyu, d1, n_hat)
+    d_zero = float(np.einsum("xyu,xyuh,xh->", pxyu, zero, d1t))
+    if d1_target >= d_zero - 1e-12:
+        return zero, "zero"
+    if d1_target <= d_floor + 1e-12:
+        pick = np.argmin(d1t, axis=1)
+        t = np.zeros((pxy.shape[0], pxy.shape[1], p_u.shape[-1], n_hat))
+        for x, h in enumerate(pick):
+            t[x, :, :, h] = 1.0
+        return t, "floor"
+
+    def renorm(t):
+        s = t.sum(axis=-1, keepdims=True)
+        return np.where(s > 1e-200, t / np.maximum(s, 1e-300), 1.0 / t.shape[-1])
+
+    def ba(lam):
+        phi = np.full(pxyu.shape + (n_hat,), 1.0 / n_hat)
+        w = np.exp(-lam * np.log(2.0) * d1t)
+        for _ in range(ba_iters):
+            q = renorm(np.einsum("xyu,xyuh->yuh", pxyu, phi))
+            new = renorm(q[None, :, :, :] * w[:, None, None, :])
+            if np.abs(new - phi).max() < 1e-12:
+                phi = new
+                break
+            phi = new
+        return phi, float(np.einsum("xyu,xyuh,xh->", pxyu, phi, d1t))
+
+    lam_lo, lam_hi = 0.0, 4.0 / max(d1t.max(), 1e-12)
+    phi_hi, dist_hi = ba(lam_hi)
+    grown = 0
+    for _ in range(60):
+        if dist_hi <= d1_target:
+            break
+        lam_hi *= 4.0
+        grown += 1
+        phi_hi, dist_hi = ba(lam_hi)
+    best = phi_hi
+    for _ in range(bisect_iters):
+        lam = 0.5 * (lam_lo + lam_hi)
+        phi, dist = ba(lam)
+        if dist <= d1_target:
+            lam_hi, best = lam, phi
+        else:
+            lam_lo = lam
+    return best, grown
+
+
+def test_speculative_bisection_matches_the_sequential_one_bit_for_bit():
+    rng = np.random.default_rng(82)
+    exits = []
+    for trial in range(240):
+        pxyz, d1, _ = _random_source_tables(rng)
+        nx, ny, _ = pxyz.shape
+        n_hat = d1.shape[1]
+        p_u = rng.dirichlet(np.ones(int(rng.integers(1, 4))), size=(nx, ny))
+        if trial % 6 == 0:
+            d1 = d1 * 40.0  # a bracket that has to grow
+        pxyu = pxyz.sum(axis=2)[:, :, None] * p_u
+        d_floor = float((pxyu.sum(axis=(1, 2)) * d1.min(axis=1)).sum())
+        d_zero = float(np.einsum("xyu,xyuh,xh->", pxyu,
+                                 _xhat1_zero_rate(pxyu, d1, n_hat), d1))
+        kind = trial % 10
+        target = (d_floor - 0.01 if kind == 0 else d_zero + 0.01 if kind == 1
+                  else d_floor + rng.random() * (d_zero - d_floor))
+        # full-length solves are slow in the reference; most runs are short
+        kw = {} if trial % 8 == 2 else {"bisect_iters": int(rng.integers(1, 14))}
+        if trial % 7 == 3:
+            kw["ba_iters"] = int(rng.integers(1, 8))  # members that never converge
+        want, how = _sequential_rd_solve(pxyz, p_u, d1, n_hat, target, **kw)
+        got = _xhat1_rd_solve(pxyz, p_u, d1, n_hat, target, **kw)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        exits.append(how)
+    assert exits.count("zero") >= 10 and exits.count("floor") >= 10
+    assert sum(1 for e in exits if not isinstance(e, str) and e > 0) >= 10
+
+
+def _pareto_min_by_loop(points):
+    """One pass in row order: the loop the vectorised test replaces."""
+    keep = []
+    for p in points:
+        if not any(np.all(q <= p + 1e-12) and np.any(q < p - 1e-12) for q in keep):
+            keep = [q for q in keep
+                    if not (np.all(p <= q + 1e-12) and np.any(p < q - 1e-12))]
+            keep.append(p)
+    return [RegionPoint(r1=float(p[0]), r2=float(p[1]), d1=float(p[2]), d2=float(p[3]))
+            for p in keep]
+
+
+def test_pareto_min_matches_the_loop_with_near_ties():
+    rng = np.random.default_rng(83)
+    replays = 0
+    for trial in range(120):
+        # past 256 rows the pass tests whole blocks against the kept points
+        n, levels = int(rng.integers(0, 900)), int(rng.integers(1, 6))
+        pts = rng.integers(0, levels, size=(n, 4)) / levels
+        nudge = rng.choice([-2e-12, -1e-12, -6e-13, 0.0, 6e-13, 1e-12, 2e-12], size=(n, 4))
+        pts = pts + nudge * (rng.random((n, 4)) < 0.4)
+        pts = np.array(sorted(set(map(tuple, pts.tolist())))).reshape(-1, 4)
+        assert _pareto_min(pts) == _pareto_min_by_loop(pts)
+        front = {(p.r1, p.r2, p.d1, p.d2) for p in _pareto_min(pts)}
+        q, p = pts[:, None, :], pts[None, :, :]
+        dominated = ((q <= p + 1e-12).all(axis=-1) & (q < p - 1e-12).any(axis=-1)).any(axis=0)
+        replays += front != set(map(tuple, pts[~dominated].tolist()))
+    assert replays >= 5  # sets where dominance is not transitive were met
+
+
+def test_pareto_min_lets_a_later_block_drop_a_kept_point():
+    # f ends the first block of 256 rows; r drops f (it is within 1e-12 of f
+    # and lower in d1), and then s, which f dominates but r does not, is kept
+    filler = [(-1.0 - i, 10.0 + i, 10.0, 10.0) for i in range(255)][::-1]
+    f, r, s = (0.0, 0.5, 1.0, 0.0), (3e-13, 0.5 + 5e-13, 0.0, 0.0), (6e-13, 0.5 - 8e-13, 2.0, 0.0)
+    pts = np.array(filler + [f, r, s])
+    front = [(p.r1, p.r2, p.d1, p.d2) for p in _pareto_min(pts)]
+    assert front == filler + [r, s]
+    assert _pareto_min(pts) == _pareto_min_by_loop(pts)

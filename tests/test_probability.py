@@ -7,10 +7,14 @@ from cascade_rd.probability import (
     JointPMF,
     TableSizeError,
     check_markov_chain,
+    cmi,
     compose_markov_chain,
     conditional_mutual_information,
     entropy,
+    joint,
     kaspi_lemma_check,
+    marginal,
+    table_entropy,
 )
 
 
@@ -270,3 +274,53 @@ def test_kaspi_domain_mismatch():
     m2 = DeterministicMap(np.zeros((2, 2, 2), dtype=int), 2)
     with pytest.raises(ValueError):
         kaspi_lemma_check(p1, p2, m1, m2)
+
+
+# --------------------------------------------------------------- batch axis
+
+
+def random_stack(rng, batch, shape):
+    """Normalised random tables with about a random share of exact zeros."""
+    t = rng.random((batch,) + shape)
+    t[rng.random(t.shape) < rng.random()] = 0.0
+    totals = t.reshape(batch, -1).sum(axis=1)
+    return t / np.where(totals > 0, totals, 1.0).reshape((batch,) + (1,) * len(shape))
+
+
+def test_batched_core_is_bit_identical_per_row():
+    rng = np.random.default_rng(71)
+    long_rows = 0
+    for trial in range(300):
+        nd = int(rng.integers(1, 5))
+        shape = tuple(int(s) for s in rng.integers(1, 5, size=nd))
+        batch = 1 if trial % 10 == 0 else int(rng.integers(2, 30))
+        t = random_stack(rng, batch, shape)
+        long_rows += int(((t.reshape(batch, -1) > 0).sum(axis=1) >= 8).sum())
+        h = table_entropy(t, batched=True)
+        axes = [int(i) for i in rng.permutation(nd)]
+        keep = axes[: int(rng.integers(0, nd + 1))]
+        m = marginal(t, keep, batched=True)
+        split = sorted(rng.choice(np.arange(1, nd), size=2)) if nd > 1 else None
+        if split is not None:
+            a, b, c = axes[: split[0]], axes[split[0]:], ()
+            if split[1] > split[0]:
+                b, c = axes[split[0]: split[1]], axes[split[1]:]
+            i_abc = cmi(t, a, b, c, batched=True)
+        for r in range(batch):
+            assert h[r].hex() == table_entropy(t[r]).hex()
+            assert m[r].tobytes() == marginal(t[r], keep).tobytes()
+            if split is not None:
+                assert i_abc[r].hex() == float(cmi(t[r], a, b, c)).hex()
+    assert long_rows > 500  # numpy's pairwise sum regroups from 8 terms up
+
+
+def test_batched_joint_stacks_only_the_tables_that_carry_a_batch_axis():
+    rng = np.random.default_rng(72)
+    p_xy = random_stack(rng, 1, (3, 2))[0]
+    p_u = rng.dirichlet(np.ones(4), size=(5, 3, 2))  # a stack of 5 channels
+    p_v = rng.dirichlet(np.ones(2), size=(2, 4))
+    j = joint(4, (p_xy, (0, 1)), (p_u, (0, 1, 2)), (p_v, (1, 2, 3)))
+    assert j.shape == (5, 3, 2, 4, 2)
+    for r in range(5):
+        one = joint(4, (p_xy, (0, 1)), (p_u[r], (0, 1, 2)), (p_v, (1, 2, 3)))
+        assert j[r].tobytes() == one.tobytes()
