@@ -41,16 +41,17 @@ class ResultTable:
 
 
 def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    v = float(value)
-    if not math.isfinite(v):
+    if type(value) is not float:  # Python floats, most cells, skip the type tests
+        if value is None:
+            return ""
+        if isinstance(value, str):
+            return value
+        if isinstance(value, (int, np.integer)):
+            return str(int(value))
+        value = float(value)
+    if not math.isfinite(value):
         return ""  # inf/nan never appear in output cells
-    return "%.12g" % v
+    return "%.12g" % value
 
 
 def emit_csv(table: ResultTable, path: str | None) -> None:
@@ -471,16 +472,24 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with `command`, only that command's subparser.
+
+    The one-command parser prints the same usage and messages for that
+    command: its subparser metavar lists every command, as the full
+    parser's usage line does.
+    """
     parser = argparse.ArgumentParser(
         prog="cascade-rd",
         description="rate-distortion regions for cascade source coding with "
                     "degraded side information",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (params, _, _, _) in COMMANDS.items():
+    names = list(COMMANDS) if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
         p = sub.add_parser(name)
-        for prm in params:
+        for prm in COMMANDS[name][0]:
             p.add_argument(f"--{prm.name}", dest=prm.dest, default=None,
                            help=prm.help or prm.name)
         p.add_argument("--config", default=None, help="key-value config file")
@@ -493,7 +502,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a known command needs only its own parser; anything else (--help, a
+    # typo, no command) gets the full one, which names every command
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     params, in_cols, out_cols, compute = COMMANDS[args.command]
     try:
         table = _run_points(args.command, args, params, in_cols, out_cols, compute)
@@ -501,7 +514,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     summaries = [r.pop("summary") for r in table.rows if "summary" in r]
-    emit_csv(table, args.out)
+    try:
+        emit_csv(table, args.out)
+    except OSError as exc:
+        if args.out is None:
+            raise  # stdout failed: not a problem of the --out path
+        print(f"error: cannot write --out {args.out}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     stream = sys.stdout if args.out else sys.stderr
     for s in summaries:
         print(s, file=stream)

@@ -337,8 +337,8 @@ class BackwardConstruction:
 
     w1, w2, w3 are the incremental noise variances of the layered test
     channels (math.inf marks an uninformative layer); achieved rates are the
-    exact mutual-information costs of the chain and the distortions are MMSE
-    evaluations of its covariance.
+    exact mutual-information costs of the chain and the distortions are its
+    closed-form MMSEs.
     """
 
     case_id: int
@@ -353,19 +353,15 @@ class BackwardConstruction:
 
 
 def _chain_distortion(src: GaussianCascadeSource, cum_noise: float) -> float:
-    """Var(Z | Y, Z + W) with Var(W) = cum_noise, via the Schur complement."""
-    vz, vb = src.var_z, src.var_b
+    """Var(Z | Y, Z + W) = s*q/(s + q) with s = Var(Z|Y), q = Var(W) = cum_noise.
+
+    Observing Z + W adds the precision 1/q to the 1/s left after Y; an
+    uninformative (q = inf) layer leaves s.
+    """
+    s = src.var_z_given_y
     if math.isinf(cum_noise):
-        cov = np.array([[vz, vz], [vz, vb + vz]])
-        return conditional_variance(cov, 0, [1])
-    cov = np.array(
-        [
-            [vz, vz, vz],
-            [vz, vb + vz, vz],
-            [vz, vz, vz + cum_noise],
-        ]
-    )
-    return conditional_variance(cov, 0, [1, 2])
+        return s
+    return s * cum_noise / (s + cum_noise)
 
 
 def _w_diff(outer: float, inner: float) -> float:

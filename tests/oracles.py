@@ -57,10 +57,11 @@ def gaussian_min_r1_oracle(va, vb, d1, d2_eff, r2, n=800):
     t = 2.0 ** (2.0 * r2)
     tol = 1e-9 * max(1.0, k * t)
     alphas = np.concatenate([[0.0], np.logspace(-4, 4, n)])
-    feas = [_beta_window_feasible(va, vb, k, t, a, tol) for a in alphas]
-    if not any(feas):
+    # the first feasible grid alpha; the scan stops there
+    i = next((j for j, a in enumerate(alphas)
+              if _beta_window_feasible(va, vb, k, t, a, tol)), None)
+    if i is None:
         return None
-    i = feas.index(True)
     if alphas[i] == 0.0:
         return max(0.5 * math.log2(va / d1), 0.0)
     fine = np.linspace(alphas[i - 1], alphas[i], n)

@@ -1,10 +1,15 @@
+import contextlib
+import errno
 import hashlib
+import io
+import os
+import sys
 
 import numpy as np
 import pytest
 
 from cascade_rd import discrete
-from cascade_rd.cli import ConfigError, load_config, main
+from cascade_rd.cli import COMMANDS, ConfigError, build_parser, load_config, main
 from cascade_rd.discrete import (
     AuxiliarySystem,
     SourceSpec,
@@ -378,3 +383,144 @@ def test_unparsable_input_file_gives_an_error_row_per_point(tmp_path, ident_file
     rows = read_rows(out)
     assert [r["status"] for r in rows] == ["error", "error"]
     assert all("unexpected block 'p_u'" in r["detail"] for r in rows)
+
+
+# ---------------------------------------------------------- pinned output
+#
+# Captured before `main` built only the parser of the command it runs, and
+# before the backward-chain MMSE took its closed form: the same argv must
+# give the same bytes.
+
+# the five sweep shapes of the benchmark's gauss-sweep: (command, fixed
+# flags, (swept flag, scale, lo, hi)); variances and distortions scale
+GAUSS_SWEEPS = (
+    ("gaussian-cascade", dict(var_a=1, var_b=1, var_z=1, d1=0.25, d2=0.5),
+     ("r2", "log", 1.0, 4.0)),
+    ("gaussian-cascade", dict(var_a=1, var_b=1, var_z=1, d1=0.25, r2=1.5),
+     ("d2", "log", 0.3, 2.5)),
+    ("gaussian-triangular", dict(var_a=1, var_b=1, var_z=1, d1=0.25, d2=0.5, r2=0.6),
+     ("r3", "lin", 0.45, 1.5)),
+    ("gaussian-two-way", dict(var_a=1, var_b=1, var_z=1, d1=0.25, d2=0.5, d3=0.3,
+                              r3=0.2, r4=1.0),
+     ("r2", "lin", 0.85, 2.0)),
+    ("gaussian-extended", dict(var_a=1, var_b=1, var_z=1, dz1=0.1, dz2=0.3, r4=0.5),
+     ("r3", "lin", 1.2, 3.0)),
+)
+SCALED = {"var_a", "var_b", "var_z", "d1", "d2", "d3", "dz1", "dz2"}
+SWEEP_CSV_SHA256 = {
+    (0, 1.0): "73af4c55a90cb9815c5b8530321221df002cadc3cedfe508e79d17daf7515df8",
+    (1, 1.0): "854ec0b100cddf7186a0a0b862ab1a2d8d8fbfbe1441b09288658c39fda0c7a9",
+    (2, 1.0): "5c73e83d0f7728d1fed50e7fcd69f1880346897aa8feeb52b80de1fd74a8f427",
+    (3, 1.0): "87643fc5fa0794a1e8aab9378c53d9ef34d8b93c47c92e3746f18fda92216f1b",
+    (4, 1.0): "a00d428b68e19aa317c217f9abb2ef28c8715de7cc8a9ec9b21ce92dd8ebdf9e",
+    (0, 0.375): "e1c9e911304a7aee7160b8696f6b1a1e2e7770eba0b03af976f55d93e0a2c40f",
+    (1, 0.375): "051ea801a63ff7f4cf2722485c0995d0087cacf9cb80c963352ed0789ebae956",
+    (2, 0.375): "f328413c22e694024d212f20640de6de1ec9b0e92f34ab614981bf7ce9d1fc7f",
+    (3, 0.375): "f78d4cf4af5812595567c3494c0454745a1ec089da5c2b5225c20e97142b0de2",
+    (4, 0.375): "b9aaa8310016150c7f6b0baa8379e6c3f497fc963a2a7f11de19c88ba9df8679",
+}
+
+
+def _sweep_argv(index, scale, out):
+    command, fixed, (name, kind, lo, hi) = GAUSS_SWEEPS[index]
+    argv = [command]
+    for key, val in fixed.items():
+        val = val * scale if key in SCALED else val
+        argv += ["--" + key.replace("_", "-"), repr(float(val))]
+    if name in SCALED:
+        lo, hi = lo * scale, hi * scale
+    return argv + ["--sweep", f"{name}:{kind}:{lo!r}:{hi!r}:200", "--out", str(out)]
+
+
+@pytest.mark.parametrize("index, scale", sorted(SWEEP_CSV_SHA256))
+def test_gaussian_sweep_csv_is_pinned(tmp_path, index, scale):
+    out = tmp_path / "sweep.csv"
+    assert main(_sweep_argv(index, scale, out)) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_CSV_SHA256[index, scale]
+
+
+def _run(argv, parse=main):
+    """(exit code, stdout, stderr) of one call; argparse exits through SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+# sha256 of the --help text at 80 columns, by command (None: the top level)
+HELP_SHA256 = {
+    None: "ce614b6127cd925a8beb29cdb6ababdaf06877333181ea06b8ce7bda07565a59",
+    "gaussian-cascade": "e66e81952693b2ad2ee974b3c1d308a4948aeab3f5d679c4c495f78dbbd98718",
+    "gaussian-triangular": "81b2fce11f1a04234615adadb28a7d00287233d986948ed0050497dddf3bb726",
+    "gaussian-two-way": "36ccb7910d2bb21b14ce55a351e064ac8b67b9ba5d63fc0cc0b1aa94e5f203c5",
+    "gaussian-extended": "b8da6e541cbc942cdd1ba2945fe73dcf5f39b8aa255d98576b117aa130620fac",
+    "discrete-eval": "2671877ce4575413f5abb95407914025179ce9ad9dd0cec64b18d0064291e9dc",
+    "discrete-search": "85234898ed42688851d8360ea28fb2c2bc7f1a9030ff9861c846b5017cb897d8",
+    "simulate": "c92783d56760fb8deea56ed6915a251fbcb01f44438e5a3fdd38396d4fd3df2e",
+    "kaspi-check": "ac3f0a5bc89749d150fea7a7867edaf384ee2a49ceadf4fd0d0f53232215161a",
+}
+USAGE = ("usage: cascade-rd [-h]\n                  {" + ",".join(COMMANDS) + "}\n"
+         "                  ...\n")
+CASCADE_USAGE = (
+    "usage: cascade-rd gaussian-cascade [-h] [--var-a VAR_A] [--var-b VAR_B]\n"
+    "                                   [--var-z VAR_Z] [--d1 D1] [--d2 D2]\n"
+    "                                   [--r2 R2] [--config CONFIG] [--seed SEED]\n"
+    "                                   [--out OUT] [--sweep SWEEP]\n")
+ARGPARSE_ERRORS = [
+    (["no-such-command"], USAGE + "cascade-rd: error: argument command: invalid choice: "
+     "'no-such-command' (choose from " + ", ".join(f"'{c}'" for c in COMMANDS) + ")\n"),
+    ([], USAGE + "cascade-rd: error: the following arguments are required: command\n"),
+    (["gaussian-cascade", "--bogus", "1"],
+     USAGE + "cascade-rd: error: unrecognized arguments: --bogus 1\n"),
+    (["gaussian-cascade", "--seed", "x"],
+     CASCADE_USAGE + "cascade-rd gaussian-cascade: error: argument --seed: "
+     "invalid int value: 'x'\n"),
+]
+PY311 = pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                           reason="pinned bytes are Python 3.11's argparse output")
+
+
+@PY311
+@pytest.mark.parametrize("command", sorted(HELP_SHA256, key=str))
+def test_help_text_is_pinned(monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["--help"] if command is None else [command, "--help"]
+    code, out, err = _run(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[command]
+
+
+@PY311
+@pytest.mark.parametrize("argv, stderr", ARGPARSE_ERRORS,
+                         ids=["unknown-command", "no-command", "unknown-flag", "bad-seed"])
+def test_argparse_errors_are_pinned(monkeypatch, argv, stderr):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _run(argv) == (2, "", stderr)
+
+
+@pytest.mark.parametrize("argv", [[c, "--help"] for c in COMMANDS] + [
+    ["gaussian-cascade", "--bogus", "1"], ["gaussian-cascade", "--seed", "x"]])
+def test_one_command_parser_prints_what_the_full_parser_prints(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _run(argv) == _run(argv, build_parser().parse_args)
+
+
+def test_missing_required_flag_message_is_pinned():
+    argv = ["gaussian-cascade", "--var-a", "1", "--var-b", "1", "--var-z", "1",
+            "--d1", "0.25", "--r2", "1.0"]
+    assert _run(argv) == (2, "", "error: missing required parameter 'd2'\n")
+
+
+@pytest.mark.parametrize("target, code", [("no-such-dir/r.csv", errno.ENOENT),
+                                          ("a-dir", errno.EISDIR)])
+def test_unwritable_out_is_refused_by_name(tmp_path, capsys, target, code):
+    (tmp_path / "a-dir").mkdir()
+    out = tmp_path / target
+    assert main(["gaussian-cascade", "--var-a", "1", "--var-b", "1", "--var-z", "1",
+                 "--d1", "0.25", "--d2", "2.5", "--r2", "1.0", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write --out {out}: {os.strerror(code)}\n"
+    assert not list(tmp_path.rglob(".cascade-rd-*"))

@@ -18,8 +18,8 @@ from cascade_rd.gaussian import (
     triangular_min_r1,
     two_way_triangular_min_r1,
 )
-from cascade_rd.gaussian import _d2_slack, _feasible
-from oracles import gaussian_min_r1_oracle
+from cascade_rd.gaussian import _chain_distortion, _d2_slack, _feasible
+from oracles import _beta_window_feasible, gaussian_min_r1_oracle
 
 UNIT = GaussianCascadeSource(1.0, 1.0, 1.0)
 
@@ -315,6 +315,61 @@ def test_backward_infeasible_r3_names_inequality():
     assert "R3" in str(err.value)
 
 
+def _layer_ratio(rng, i):
+    """x/s in [1e-6, 1 - 1e-9]: log-uniform on even draws, 1 - x/s log-uniform on odd."""
+    ratio = 10.0 ** rng.uniform(-6, 0) if i % 2 == 0 else 1.0 - 10.0 ** rng.uniform(-9, 0)
+    return min(max(ratio, 1e-6), 1.0 - 1e-9)
+
+
+def test_chain_distortion_is_the_closed_form_mmse():
+    # The Schur complement of the explicit covariance is the reference. Its
+    # own rounding cancels terms of size var_z (3e-7 relative at x/s = 1e-6),
+    # hence its absolute floor; against the layer target x the closed form
+    # holds to 4 ulp over the whole range.
+    rng = np.random.default_rng(59)
+    for i in range(1000):
+        va, vb, vz = 10.0 ** rng.uniform(-1, 1, size=3)
+        src = GaussianCascadeSource(va, vb, vz)
+        s = src.var_z_given_y
+        x = s * _layer_ratio(rng, i)
+        q = q_map(x, s)
+        got = _chain_distortion(src, q)
+        cov = np.array([[vz, vz, vz], [vz, vb + vz, vz], [vz, vz, vz + q]])
+        ref = conditional_variance(cov, 0, [1, 2])
+        assert got == pytest.approx(ref, rel=1e-9, abs=1e-12 * vz), (i, got, ref)
+        assert abs(got - x) <= 4 * math.ulp(x), (i, got, x)
+        assert _chain_distortion(src, math.inf) == s
+        ref_inf = conditional_variance(np.array([[vz, vz], [vz, vb + vz]]), 0, [1])
+        assert s == pytest.approx(ref_inf, rel=1e-12)
+
+
+def test_backward_distortions_hit_their_layer_targets():
+    # dist_z1 and dist_z2 are the chain's MMSEs at the layers built for D_Z1
+    # (D' in cases 2-3) and D_Z2, so they reproduce those targets to 4 ulp
+    rng = np.random.default_rng(61)
+    for case in (1, 2, 3):
+        for i in range(400):
+            va, vb, vz = 10.0 ** rng.uniform(-1, 1, size=3)
+            src = GaussianCascadeSource(va, vb, vz)
+            s = src.var_z_given_y
+            lo, hi = sorted(s * _layer_ratio(rng, i + k) for k in (0, 1))
+            if lo == hi:
+                continue
+            dz1, dz2 = (lo, hi) if case == 1 else (hi, lo)
+            r3 = 0.5 * math.log2(s / dz1) + rng.uniform(0.0, 2.0)
+            if case == 1:
+                r4 = rng.uniform(0.0, 3.0)
+            elif case == 2:
+                r4 = r3 * rng.uniform(0.0, 1.0)
+            else:
+                r4 = r3 + rng.uniform(0.01, 1.0)
+            con = extended_backward_achievability(src, dz1, dz2, r3, r4)
+            assert con.case_id == case
+            target1 = dz1 if case == 1 else min(max(s * 2.0 ** (-2.0 * r3), dz2), dz1)
+            assert abs(con.dist_z1 - target1) <= 4 * math.ulp(target1), (case, i, con)
+            assert abs(con.dist_z2 - dz2) <= 4 * math.ulp(dz2), (case, i, con)
+
+
 # --------------------------------------------------------- covariance transform
 
 
@@ -456,3 +511,47 @@ _REGION = extended_backward_region_check
 def test_non_finite_input_is_refused_by_name(call, name, value):
     with pytest.raises(ValueError, match=f"^{name} must be finite"):
         call(value)
+
+
+# ------------------------------------------------------------------- oracle
+
+
+def _oracle_full_scan(va, vb, d1, d2_eff, r2, n=800):
+    """`gaussian_min_r1_oracle` as it was: every grid alpha tested, then the first feasible."""
+    if va == 0.0:
+        return 0.0
+    k = va + vb - d2_eff
+    if k <= 0:
+        return max(0.5 * math.log2(va / d1), 0.0)
+    t = 2.0 ** (2.0 * r2)
+    tol = 1e-9 * max(1.0, k * t)
+    alphas = np.concatenate([[0.0], np.logspace(-4, 4, n)])
+    feas = [_beta_window_feasible(va, vb, k, t, a, tol) for a in alphas]
+    if not any(feas):
+        return None
+    i = feas.index(True)
+    if alphas[i] == 0.0:
+        return max(0.5 * math.log2(va / d1), 0.0)
+    fine = np.linspace(alphas[i - 1], alphas[i], n)
+    alpha = float(alphas[i])
+    for a in fine:
+        if _beta_window_feasible(va, vb, k, t, float(a), tol):
+            alpha = float(a)
+            break
+    return max(0.5 * math.log2(va / d1), 0.5 * math.log2(1.0 + alpha * alpha * va))
+
+
+def test_oracle_stops_at_the_first_feasible_alpha_with_the_same_answers():
+    # every fourth query has r2 below the threshold, so no grid alpha is
+    # feasible; on the threshold (every third) the grid misses the one point too
+    rng = np.random.default_rng(67)
+    answers = []
+    for i in range(500):
+        va, vb, d1, d2, r2 = _forward_query(rng, i)
+        if i % 4 == 1:
+            r2 *= rng.uniform(0.0, 0.99)
+        want = _oracle_full_scan(va, vb, d1, d2, r2)
+        assert gaussian_min_r1_oracle(va, vb, d1, d2, r2) == want, (i, want)
+        answers.append(want)
+    assert sum(a is None for a in answers) >= 100
+    assert sum(a is not None for a in answers) >= 250
