@@ -45,6 +45,8 @@ def _fmt_cell(value) -> str:
         if value is None:
             return ""
         if isinstance(value, str):
+            if "," in value or '"' in value or "\n" in value or "\r" in value:
+                return '"' + value.replace('"', '""') + '"'  # quoted as RFC 4180 asks
             return value
         if isinstance(value, (int, np.integer)):
             return str(int(value))
@@ -103,8 +105,7 @@ def load_config(path: str) -> dict:
 class Param:
     name: str  # flag name, e.g. "var-a"
     kind: type  # float, int or str
-    required: bool = True
-    default: object = None
+    default: object = None  # None: the parameter is required
     help: str = ""
 
     @property
@@ -148,12 +149,12 @@ def _parse_sweep(spec: str, params):
             raise ConfigError("log sweep bounds must be positive")
         values = np.geomspace(lo, hi, steps)
     if numeric[name].kind is float:
-        return name.replace("-", "_"), [float(v) for v in values]
+        return numeric[name].dest, [float(v) for v in values]
     ints = np.round(values)
     if np.any(np.abs(values - ints) > 1e-9 * np.maximum(1.0, np.abs(values))):
         raise ConfigError(f"sweep of integer flag '{name}' reaches non-integer "
                           f"values: {', '.join('%g' % v for v in values)}")
-    return name.replace("-", "_"), [int(v) for v in ints]
+    return numeric[name].dest, [int(v) for v in ints]
 
 
 def _resolve(args, params, swept: str | None = None):
@@ -181,7 +182,7 @@ def _resolve(args, params, swept: str | None = None):
             values[p.dest] = _coerce(p, text, f"{args.config}:{lineno}: ")
         elif p.default is not None:
             values[p.dest] = p.default
-        elif p.required and p.dest != swept:
+        elif p.dest != swept:
             raise ConfigError(f"missing required parameter '{p.name}'")
         else:
             values[p.dest] = None
@@ -242,8 +243,9 @@ def _config_hash(command, values, seed, dest, vals) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()[:12]
 
 
-def _run_points(command, args, params, in_cols, out_cols, compute):
+def _run_points(command, args, params, out_cols, compute):
     """Shared driver: resolve params, expand the sweep, evaluate each point."""
+    in_cols = [p.dest for p in params]
     dest, vals = _parse_sweep(args.sweep, params) if args.sweep else (None, [None])
     values, seed = _resolve(args, params, swept=dest)
     digests, inputs = _read_inputs(values)
@@ -331,22 +333,9 @@ def cmd_gaussian_extended(point, seed):
     }
 
 
-_EVALUATORS = {
-    "cascade": discrete.eval_cascade_point,
-    "triangular": discrete.eval_triangular_point,
-    "two-way-cascade": discrete.eval_two_way_cascade_point,
-    "two-way-triangular": discrete.eval_two_way_triangular_point,
-    "helper": discrete.eval_helper_triangular_point,
-}
-
-
 def cmd_discrete_eval(point, seed):
-    setting = point["setting"]
-    if setting not in _EVALUATORS:
-        raise ConfigError(
-            f"unknown setting {setting!r}; choose from {sorted(_EVALUATORS)}"
-        )
-    pt = _EVALUATORS[setting](_loaded(point["source"]), _loaded(point["aux"]))
+    pt = discrete.evaluate_point(point["setting"], _loaded(point["source"]),
+                                 _loaded(point["aux"]))
     return {k: getattr(pt, k) for k in ("r1", "r2", "r3", "r4", "rh", "d1", "d2", "d3")}
 
 
@@ -379,13 +368,23 @@ def cmd_simulate(point, seed):
     return out
 
 
+KASPI_SIZES = [
+    Param("size-a1", int, default=2), Param("size-a2", int, default=2),
+    Param("size-b1", int, default=2), Param("size-b2", int, default=2),
+    Param("m1-size", int, default=2), Param("m2-size", int, default=2),
+    Param("instances", int, default=50),
+]
+
+
 def cmd_kaspi_check(point, seed):
+    sizes = [point[p.dest] for p in KASPI_SIZES]
+    for p, size in zip(KASPI_SIZES, sizes):
+        if size < 1:
+            raise ValueError(f"'{p.name}' must be at least 1, got {size}")
+    na1, na2, nb1, nb2, nm1, nm2, instances = sizes
     rng = np.random.default_rng(seed)
-    sizes = (point["size_a1"], point["size_a2"], point["size_b1"], point["size_b2"])
-    na1, na2, nb1, nb2 = (int(s) for s in sizes)
-    nm1, nm2 = int(point["m1_size"]), int(point["m2_size"])
     worst = (0.0, 0.0, 0.0)
-    for _ in range(int(point["instances"])):
+    for _ in range(instances):
         p1 = probability.JointPMF(
             rng.dirichlet(np.ones(na1 * nb1)).reshape(na1, nb1)
         )
@@ -406,66 +405,51 @@ def cmd_kaspi_check(point, seed):
 COMMANDS = {
     "gaussian-cascade": (
         GAUSSIAN_SRC + [Param("d1", float), Param("d2", float), Param("r2", float)],
-        ["var_a", "var_b", "var_z", "d1", "d2", "r2"],
         ["r1", "alpha", "beta"],
         cmd_gaussian_cascade,
     ),
     "gaussian-triangular": (
         GAUSSIAN_SRC + [Param("d1", float), Param("d2", float),
                         Param("r2", float), Param("r3", float)],
-        ["var_a", "var_b", "var_z", "d1", "d2", "r2", "r3"],
         ["r1", "alpha", "beta"],
         cmd_gaussian_triangular,
     ),
     "gaussian-two-way": (
         GAUSSIAN_SRC + [Param("d1", float), Param("d2", float), Param("d3", float),
                         Param("r2", float), Param("r3", float), Param("r4", float)],
-        ["var_a", "var_b", "var_z", "d1", "d2", "d3", "r2", "r3", "r4"],
         ["r1", "alpha", "beta", "r4_threshold"],
         cmd_gaussian_two_way,
     ),
     "gaussian-extended": (
         GAUSSIAN_SRC + [Param("dz1", float), Param("dz2", float),
                         Param("r3", float), Param("r4", float)],
-        ["var_a", "var_b", "var_z", "dz1", "dz2", "r3", "r4"],
         ["case", "r3_achieved", "r4_achieved", "r5_achieved",
          "dist_z1", "dist_z2", "slack_r3", "slack_r3_r5", "slack_r4_r5"],
         cmd_gaussian_extended,
     ),
     "discrete-eval": (
         [Param("source", str), Param("aux", str), Param("setting", str)],
-        ["source", "aux", "setting"],
         ["r1", "r2", "r3", "r4", "rh", "d1", "d2", "d3"],
         cmd_discrete_eval,
     ),
     "discrete-search": (
         [Param("source", str), Param("d1", float), Param("d2", float),
          Param("r2", float), Param("u-size", int),
-         Param("restarts", int, required=False, default=16)],
-        ["source", "d1", "d2", "r2", "u_size", "restarts"],
+         Param("restarts", int, default=16)],
         ["r1", "r2_achieved", "d1_achieved", "d2_achieved"],
         cmd_discrete_search,
     ),
     "simulate": (
         [Param("source", str), Param("aux", str), Param("n", int),
-         Param("epsilon", float), Param("delta", float, required=False, default=0.15),
+         Param("epsilon", float), Param("delta", float, default=0.15),
          Param("trials", int)],
-        ["source", "aux", "n", "epsilon", "delta", "trials"],
         ["e0_rate", "e1_rate", "e2_rate", "e3_rate", "e4_rate", "e5_rate",
          "d1_mean", "d1_ci", "d2_mean", "d2_ci", "clean_trials",
          "d1_mean_clean", "d2_mean_clean"],
         cmd_simulate,
     ),
     "kaspi-check": (
-        [Param("size-a1", int, required=False, default=2),
-         Param("size-a2", int, required=False, default=2),
-         Param("size-b1", int, required=False, default=2),
-         Param("size-b2", int, required=False, default=2),
-         Param("m1-size", int, required=False, default=2),
-         Param("m2-size", int, required=False, default=2),
-         Param("instances", int, required=False, default=50)],
-        ["size_a1", "size_a2", "size_b1", "size_b2", "m1_size", "m2_size",
-         "instances"],
+        KASPI_SIZES,
         ["max_i1", "max_i2", "max_i3"],
         cmd_kaspi_check,
     ),
@@ -507,9 +491,9 @@ def main(argv=None) -> int:
     # typo, no command) gets the full one, which names every command
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
-    params, in_cols, out_cols, compute = COMMANDS[args.command]
+    params, out_cols, compute = COMMANDS[args.command]
     try:
-        table = _run_points(args.command, args, params, in_cols, out_cols, compute)
+        table = _run_points(args.command, args, params, out_cols, compute)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

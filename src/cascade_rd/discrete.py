@@ -8,8 +8,9 @@ validated against a quantized-simplex enumeration oracle.
 
 Each setting is data (`_SETTINGS`): the axes of its joint pmf, the auxiliary
 channels that multiply the source into that joint, its rate terms and its
-distortion terms. One evaluator, `_evaluate`, validates and evaluates them
-all on top of the information core in `probability`.
+distortion terms. One evaluator, `evaluate_point`, validates and evaluates
+them all on top of the information core in `probability`; the search, the
+simulator and the CLI read the same table.
 
 The search and the oracle evaluate stacks of tables through the batch axis
 of that core: the finite-difference gradient of one exponentiated-gradient
@@ -20,6 +21,7 @@ Every answer is bit-identical to evaluating the tables one at a time.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 
@@ -52,20 +54,15 @@ class SourceSpec:
             raise FactorizationError(
                 f"source is not Markov X-Y-Z (deviation {dev:g} bits)"
             )
-        for name, table, rows in (("d1", self.d1, self.nx), ("d2", self.d2, self.nx)):
-            t = np.asarray(table, dtype=np.float64)
+        for name, rows in (("d1", self.nx), ("d2", self.nx), ("d3", self.nz)):
+            if name == "d3" and self.d3 is None:  # the one optional table
+                continue
+            t = np.asarray(getattr(self, name), dtype=np.float64)
             if t.ndim != 2 or t.shape[0] != rows:
                 raise ValueError(f"{name} must be a ({rows}, n_hat) table")
             if not np.isfinite(t).all() or (t < 0).any():
                 raise ValueError(f"{name} entries must be finite and nonnegative")
             object.__setattr__(self, name, t)
-        if self.d3 is not None:
-            t = np.asarray(self.d3, dtype=np.float64)
-            if t.ndim != 2 or t.shape[0] != self.nz:
-                raise ValueError(f"d3 must be a ({self.nz}, n_hat) table")
-            if not np.isfinite(t).all() or (t < 0).any():
-                raise ValueError("d3 entries must be finite and nonnegative")
-            object.__setattr__(self, "d3", t)
 
     @property
     def nx(self) -> int:
@@ -230,8 +227,10 @@ def _budget(limit: int, size: int, what: str) -> None:
         raise ValueError(f"|{what}| = {size} exceeds the cardinality budget {limit}")
 
 
-def _evaluate(setting: str, src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
-    """Check `aux` against the setting's table, then evaluate it exactly."""
+def evaluate_point(setting: str, src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
+    """Check `aux` against a setting of `_SETTINGS`, then evaluate it exactly."""
+    if setting not in _SETTINGS:
+        raise ValueError(f"unknown setting {setting!r}; choose from {sorted(_SETTINGS)}")
     s = _SETTINGS[setting]
     missing = [f for f in (*s.factors, *s.maps) if getattr(aux, f) is None]
     if missing:
@@ -269,12 +268,12 @@ def eval_cascade_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
     R1 = I(X; Xhat1, U | Y), R2 = I(U; X, Y | Z) and both expected
     distortions with xhat2 = g2(u, z).
     """
-    return _evaluate("cascade", src, aux)
+    return evaluate_point("cascade", src, aux)
 
 
 def eval_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
     """Adds the refinement description V: p_v = p(v|x,y,u), g2 on (U, V, Z)."""
-    return _evaluate("triangular", src, aux)
+    return evaluate_point("triangular", src, aux)
 
 
 def eval_two_way_cascade_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
@@ -283,7 +282,7 @@ def eval_two_way_cascade_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionP
     The returned r3 is the backward-rate bound I(U2; Z | U1, X, Y); d3 is the
     expected backward distortion with zhat = g3(u1, u2, x, y).
     """
-    return _evaluate("two-way-cascade", src, aux)
+    return evaluate_point("two-way-cascade", src, aux)
 
 
 def eval_two_way_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
@@ -291,7 +290,7 @@ def eval_two_way_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> Regi
 
     p_u2 = p(u2|z,u1,v); g2 on (U1, V, Z); g3 on (U1, U2, V, X, Y).
     """
-    return _evaluate("two-way-triangular", src, aux)
+    return evaluate_point("two-way-triangular", src, aux)
 
 
 def eval_helper_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
@@ -301,7 +300,7 @@ def eval_helper_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> Regio
     forward refinement intended for the terminal node rides in p_v as
     p(u2|x,y,uh,u1); g2 on (U1, U2, Uh, Z). Returns (r1, r2, r3, rh).
     """
-    return _evaluate("helper", src, aux)
+    return evaluate_point("helper", src, aux)
 
 
 # ------------------------------------------------------------- cascade search
@@ -323,16 +322,10 @@ def _g2_best_response(pxyz, p_u, d2):
     return np.argmin(cost, axis=-1)  # (U, Z)
 
 
-def _xhat1_zero_rate(pxyu, d1, n_hat):
+def _xhat1_zero_rate(pxyu, d1):
     """Best reconstruction f(y,u): zero rate cost, deterministic rows."""
-    cost = np.einsum("xyu,xh->yuh", pxyu, d1[:, :n_hat])
-    pick = np.argmin(cost, axis=-1)  # (Y, U)
-    nx, ny, nu = pxyu.shape
-    t = np.zeros((nx, ny, nu, n_hat))
-    for y in range(ny):
-        for u in range(nu):
-            t[:, y, u, pick[y, u]] = 1.0
-    return t
+    pick = np.argmin(np.einsum("xyu,xh->yuh", pxyu, d1), axis=-1)  # (Y, U)
+    return np.eye(d1.shape[1])[np.broadcast_to(pick, pxyu.shape)]
 
 
 # depth of the tree of multipliers that one batched Blahut-Arimoto run of the
@@ -340,7 +333,7 @@ def _xhat1_zero_rate(pxyu, d1, n_hat):
 _BISECT_DEPTH = 4
 
 
-def _xhat1_rd_solve(pxyz, p_u, d1, n_hat, d1_target, ba_iters=80, bisect_iters=40):
+def _xhat1_rd_solve(pxyz, p_u, d1, d1_target, ba_iters=80, bisect_iters=40):
     """Conditional rate-distortion channel for the relay reconstruction.
 
     Minimizes I(X; Xhat1 | U, Y) subject to E d1 <= d1_target for fixed p_u,
@@ -354,20 +347,17 @@ def _xhat1_rd_solve(pxyz, p_u, d1, n_hat, d1_target, ba_iters=80, bisect_iters=4
     """
     pxy = pxyz.sum(axis=2)
     pxyu = pxy[:, :, None] * p_u  # (X, Y, U)
-    d1t = d1[:, :n_hat]
+    n_hat = d1.shape[1]
 
     # full-information floor and zero-rate ceiling
-    d_floor = float((pxy.sum(axis=1) * d1t.min(axis=1)).sum())
-    zero = _xhat1_zero_rate(pxyu, d1, n_hat)
-    d_zero = float(np.einsum("xyu,xyuh,xh->", pxyu, zero, d1t))
+    d_floor = float((pxy.sum(axis=1) * d1.min(axis=1)).sum())
+    zero = _xhat1_zero_rate(pxyu, d1)
+    d_zero = float(np.einsum("xyu,xyuh,xh->", pxyu, zero, d1))
     if d1_target >= d_zero - 1e-12:
         return zero
     if d1_target <= d_floor + 1e-12:
-        pick = np.argmin(d1t, axis=1)  # (X,)
-        t = np.zeros((pxy.shape[0], pxy.shape[1], p_u.shape[-1], n_hat))
-        for x, h in enumerate(pick):
-            t[x, :, :, h] = 1.0
-        return t
+        pick = np.argmin(d1, axis=1)  # (X,)
+        return np.eye(n_hat)[np.broadcast_to(pick[:, None, None], pxyu.shape)]
 
     def renorm(t):
         s = t.sum(axis=-1, keepdims=True)
@@ -379,7 +369,7 @@ def _xhat1_rd_solve(pxyz, p_u, d1, n_hat, d1_target, ba_iters=80, bisect_iters=4
         """Channels (B, X, Y, U, H) and distortions (B,) at the multipliers."""
         lams = np.array(lams)[:, None, None]
         phi = np.full((len(lams),) + pxyu.shape + (n_hat,), 1.0 / n_hat)
-        w = np.exp(-lams * np.log(2.0) * d1t)  # (B, X, H)
+        w = np.exp(-lams * np.log(2.0) * d1)  # (B, X, H)
         live = np.ones(len(lams), dtype=bool)
         for _ in range(ba_iters):
             q = renorm(np.einsum("xyu,bxyuh->byuh", pxyu, phi))
@@ -392,9 +382,9 @@ def _xhat1_rd_solve(pxyz, p_u, d1, n_hat, d1_target, ba_iters=80, bisect_iters=4
             live &= ~done
             if not live.any():
                 break
-        return phi, np.einsum("xyu,bxyuh,xh->b", pxyu, phi, d1t)
+        return phi, np.einsum("xyu,bxyuh,xh->b", pxyu, phi, d1)
 
-    lam_lo, lam_hi = 0.0, 4.0 / max(d1t.max(), 1e-12)
+    lam_lo, lam_hi = 0.0, 4.0 / max(d1.max(), 1e-12)
     phis, dists = ba([lam_hi])
     for _ in range(60):
         if dists[0] <= d1_target:
@@ -462,6 +452,14 @@ def _blend_to_rate(pxyz, p_u, cap):
     return mixed
 
 
+# the search's penalty rounds (weight 10**round) of up to _INNER_ITERS steps
+_ROUNDS = 5
+_INNER_ITERS = 12
+# line-searched steps of one exponentiated-gradient pass, and its first step size
+_EG_STEPS = 8
+_EG_ETA = 0.5
+
+
 @dataclass(frozen=True)
 class SearchResult:
     r1: float
@@ -471,8 +469,7 @@ class SearchResult:
 
 def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
                           r2_budget: float, u_size: int,
-                          restarts: int = 16, seed: int = 0,
-                          rounds: int = 5, inner_iters: int = 12) -> SearchResult:
+                          restarts: int = 16, seed: int = 0) -> SearchResult:
     """Smallest cascade forward rate found by alternating optimization.
 
     Alternates exponentiated-gradient steps on p(u|x,y) (finite-difference
@@ -482,7 +479,11 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
     seeds, best feasible restart wins (lowest index on ties).
     """
     nx, ny, nz = src.pmf.sizes
-    _budget(nx * ny + 3, u_size, "U")
+    if u_size < 1:
+        raise ValueError(f"u_size must be at least 1, got {u_size}")
+    if restarts < 0:
+        raise ValueError(f"restarts must be nonnegative, got {restarts}")
+    _budget(_CASCADE.budgets["U"]({"X": nx, "Y": ny}), u_size, "U")
     if d2_target <= 0 or d1_target < 0 or r2_budget < 0:
         raise ValueError("need d2 > 0, d1 >= 0, r2 >= 0")
     pxyz = src.pmf.probs
@@ -497,29 +498,25 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
     n_hat1 = src.d1.shape[1]
     d2scale = max(float(src.d2.max()), 1e-12)
 
-    def finalize(p_u, p_xhat1, g2_table):
-        r1, r2, d1v, d2v = _cascade_quantities(
-            pxyz, p_u, p_xhat1, g2_table, src.d1, src.d2
-        )
+    best = None  # the first feasible candidate of least r1
+
+    def consider(p_u, p_xhat1, g2_table):
+        nonlocal best
+        vals = _cascade_quantities(pxyz, p_u, p_xhat1, g2_table, src.d1, src.d2)
+        r1, r2, d1v, d2v = vals
         ok = (
             r2 <= r2_budget + 1e-9
             and d2v <= d2_target + 1e-9 * d2scale
             and d1v <= d1_target + 1e-9 * max(float(src.d1.max()), 1e-12)
         )
-        return ok, (r1, r2, d1v, d2v)
-
-    candidates = []
-
-    def consider(p_u, p_xhat1, g2_table):
-        ok, vals = finalize(p_u, p_xhat1, g2_table)
-        if ok:
-            candidates.append((vals[0], len(candidates), p_u, p_xhat1, g2_table, vals))
+        if ok and (best is None or r1 < best[-1][0]):
+            best = (p_u, p_xhat1, g2_table, vals)
 
     # constant-U anchor: exact for the d2-slack regime
     p_u_const = np.zeros((nx, ny, u_size))
     p_u_const[:, :, 0] = 1.0
     g2_const = _g2_best_response(pxyz, p_u_const, src.d2)
-    xhat1_const = _xhat1_rd_solve(pxyz, p_u_const, src.d1, n_hat1, d1_target)
+    xhat1_const = _xhat1_rd_solve(pxyz, p_u_const, src.d1, d1_target)
     consider(p_u_const, xhat1_const, g2_const)
 
     for restart in range(restarts):
@@ -529,14 +526,14 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
         p_xhat1 = rng_r.dirichlet(np.ones(n_hat1), size=(nx, ny, u_size))
         g2_table = _g2_best_response(pxyz, p_u, src.d2)
         prev_r1 = np.inf
-        for rnd in range(rounds):
+        for rnd in range(_ROUNDS):
             weight = 10.0 ** rnd
-            for _ in range(inner_iters):
+            for _ in range(_INNER_ITERS):
                 p_u = _eg_steps(
                     pxyz, p_u, p_xhat1, g2_table, src.d1, src.d2,
                     r2_budget, d2_target, weight,
                 )
-                p_xhat1 = _xhat1_rd_solve(pxyz, p_u, src.d1, n_hat1, d1_target)
+                p_xhat1 = _xhat1_rd_solve(pxyz, p_u, src.d1, d1_target)
                 g2_table = _g2_best_response(pxyz, p_u, src.d2)
                 r1 = _search_objective(
                     pxyz, p_u, p_xhat1, g2_table, src.d1, src.d2,
@@ -548,28 +545,26 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
                 prev_r1 = r1
         # exact rate repair, then refresh the downstream responses
         p_u = _blend_to_rate(pxyz, p_u, r2_budget)
-        p_xhat1 = _xhat1_rd_solve(pxyz, p_u, src.d1, n_hat1, d1_target)
+        p_xhat1 = _xhat1_rd_solve(pxyz, p_u, src.d1, d1_target)
         g2_table = _g2_best_response(pxyz, p_u, src.d2)
         consider(p_u, p_xhat1, g2_table)
 
-    if not candidates:
+    if best is None:
         raise InfeasibleError(
             "search found no auxiliary satisfying (d1, d2, r2); the query may "
             "be infeasible at this u_size"
         )
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    r1, _, p_u, p_xhat1, g2_table, vals = candidates[0]
+    p_u, p_xhat1, g2_table, vals = best
     aux = AuxiliarySystem(
         p_u=CondPMF(p_u),
         p_xhat1=CondPMF(p_xhat1),
         g2=DeterministicMap(g2_table, src.d2.shape[1]),
     )
     point = RegionPoint(r1=vals[0], r2=vals[1], d1=vals[2], d2=vals[3])
-    return SearchResult(r1=r1, aux=aux, point=point)
+    return SearchResult(r1=vals[0], aux=aux, point=point)
 
 
-def _eg_steps(pxyz, p_u, p_xhat1, g2_table, d1, d2, r2_cap, d2_cap, weight,
-              steps: int = 8, eta: float = 0.5):
+def _eg_steps(pxyz, p_u, p_xhat1, g2_table, d1, d2, r2_cap, d2_cap, weight):
     """Exponentiated-gradient pass on p(u|x,y) with finite-difference gradients.
 
     The 2|X||Y||U| perturbed tables of one gradient are evaluated as one
@@ -583,10 +578,10 @@ def _eg_steps(pxyz, p_u, p_xhat1, g2_table, d1, d2, r2_cap, d2_cap, weight,
 
     cur = p_u.copy()
     f_cur = f(cur)
-    step = eta
+    step = _EG_ETA
     n = cur.size
     diag = (np.arange(n), np.arange(n))
-    for _ in range(steps):
+    for _ in range(_EG_STEPS):
         up_val, dn_val = cur.ravel() + h, np.maximum(cur.ravel() - h, 1e-12)
         stack = np.tile(cur.ravel(), (2 * n, 1))  # row i (n + i) moves entry i up (down)
         stack[:n][diag], stack[n:][diag] = up_val, dn_val
@@ -629,11 +624,6 @@ def _simplex_grid(m: int, resolution: int) -> np.ndarray:
             v[c] += 1.0
         out.append(v / resolution)
     return np.array(out)
-
-
-def _det_xhat1_options(nx: int, n_hat: int):
-    """Deterministic per-symbol reconstructions f: X -> Xhat1."""
-    return list(itertools.product(range(n_hat), repeat=nx))
 
 
 def brute_force_region_oracle(src: SourceSpec, u_size: int, resolution: int):
@@ -706,10 +696,10 @@ def _enumerate_oracle_points(src: SourceSpec, u_size: int, resolution: int):
             f"{total} channels exceed the oracle cap {_MAX_ORACLE_CHANNELS}; "
             "reduce the resolution or u_size"
         )
-    fmaps = np.array(_det_xhat1_options(nx, n_hat1)).reshape(-1, nx)
+    # deterministic per-symbol reconstructions f: X -> Xhat1
+    fmaps = np.array(list(itertools.product(range(n_hat1), repeat=nx))).reshape(-1, nx)
     pxy = pxyz.sum(axis=2)
-    d1t = src.d1
-    d1_fmaps = [float((px * d1t[np.arange(nx), sel]).sum()) for sel in fmaps]
+    d1_fmaps = [float((px * src.d1[np.arange(nx), sel]).sum()) for sel in fmaps]
     chunk = max(1, _ORACLE_CHUNK_ENTRIES // (nx * ny * nz * u_size))
 
     for start in range(0, total, chunk):
@@ -727,7 +717,7 @@ def _enumerate_oracle_points(src: SourceSpec, u_size: int, resolution: int):
         d2v = (m_xzu * sel).reshape(len(p_u), -1).sum(axis=1)
         # zero-rate relay reconstruction f(y, u)
         pxyu = pxy[:, :, None] * p_u
-        cost = np.einsum("bxyu,xh->byuh", pxyu, d1t)
+        cost = np.einsum("bxyu,xh->byuh", pxyu, src.d1)
         d1_zero = cost.min(axis=-1).reshape(len(p_u), -1).sum(axis=1)
         # per-symbol deterministic reconstructions f(x)
         extra = _cmi_fx(_marginal(joint_u, (0, 1, 3), True), fmaps, n_hat1)  # (B, F)
@@ -810,7 +800,7 @@ def load_source_spec(text: str) -> SourceSpec:
                       d3=fields.get("d3"))
 
 
-_AUX_FIELDS = ("p_u", "p_xhat1", "p_v", "p_u2", "p_uh", "g2", "g3")
+_AUX_FIELDS = tuple(f.name for f in dataclasses.fields(AuxiliarySystem))
 
 
 def save_aux(aux: AuxiliarySystem) -> str:

@@ -20,6 +20,8 @@ from .errors import InfeasibleError, NumericDomainError
 
 # feasibility slack treated as zero, relative to the constraint scale
 _FEAS_REL_TOL = 1e-9
+# backward-region slack (bits) still counted as membership
+_REGION_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -180,7 +182,7 @@ def _boundary_alpha(va, vb, k, t, d2_eff):
             return alpha, beta, branch
     raise InfeasibleError(
         "no feasible auxiliary found for (d2, r2)",
-        threshold=max(0.5 * math.log2(s / d2_eff), 0.0),
+        threshold=_threshold(s, d2_eff),
     )
 
 
@@ -197,7 +199,7 @@ def _min_r1(src: GaussianCascadeSource, d1: float, d2_eff: float, r2: float):
     if va == 0.0:
         return ForwardSolution(0.0, GaussianAux(0.0, 0.0, 1.0), "const_u")
     k = va + vb - d2_eff
-    r1_d1 = max(0.5 * math.log2(va / d1), 0.0)
+    r1_d1 = _threshold(va, d1)
     if k <= 0:
         # distortion constraint slack: constant U is optimal
         return ForwardSolution(r1_d1, GaussianAux(0.0, 0.0, 1.0), "const_u")
@@ -220,8 +222,7 @@ def cascade_min_r1(src: GaussianCascadeSource, d1: float, d2: float,
     R1 = max(1/2 log2(var_a / D1), 1/2 log2(var_a / Var(A|U,B))).
     """
     _check_query(d1, d2, r2)
-    s = src.var_a + src.var_b
-    thr = max(0.5 * math.log2(s / d2), 0.0) if s > 0 else 0.0
+    thr = _threshold(src.var_a + src.var_b, d2)
     if r2 < thr - 1e-12:
         raise InfeasibleError(
             f"r2={r2:g} below the feasibility threshold {thr:g} bits",
@@ -235,8 +236,7 @@ def triangular_min_r1(src: GaussianCascadeSource, d1: float, d2: float,
     """Cascade program with the D2 bound relaxed to 2^(2 R3) * D2."""
     _check_query(d1, d2, r2)
     _check_arg("r3", r3, 0.0)
-    s = src.var_a + src.var_b
-    thr = max(0.5 * math.log2(s / d2), 0.0) if s > 0 else 0.0
+    thr = _threshold(src.var_a + src.var_b, d2)
     if r2 + r3 < thr - 1e-12:
         raise InfeasibleError(
             f"r2+r3={r2 + r3:g} below the feasibility threshold {thr:g} bits",
@@ -252,8 +252,7 @@ def two_way_triangular_min_r1(src: GaussianCascadeSource, d1: float, d2: float,
     triangular program; also reports the R4 feasibility threshold."""
     _check_arg("d3", d3, 0.0, strict=True)
     _check_arg("r4", r4, 0.0)
-    s = src.var_z_given_y
-    thr4 = max(0.5 * math.log2(s / d3), 0.0) if s > 0 else 0.0
+    thr4 = _threshold(src.var_z_given_y, d3)
     if r4 < thr4 - 1e-12:
         raise InfeasibleError(
             f"r4={r4:g} below the backward threshold {thr4:g} bits",
@@ -261,6 +260,11 @@ def two_way_triangular_min_r1(src: GaussianCascadeSource, d1: float, d2: float,
         )
     fwd = triangular_min_r1(src, d1, d2, r2, r3)
     return replace(fwd, r4_threshold=thr4)
+
+
+def _threshold(s: float, d: float) -> float:
+    """Rate 1/2 log2(s/d) of describing variance s at distortion d; 0 if d >= s."""
+    return max(0.5 * math.log2(s / d), 0.0) if s > 0 else 0.0
 
 
 def _check_arg(name, value, least=-math.inf, strict=False):
@@ -306,8 +310,7 @@ class RegionCheck:
 
 
 def extended_backward_region_check(src: GaussianCascadeSource,
-                                   point, targets,
-                                   tol: float = 1e-9) -> RegionCheck:
+                                   point, targets) -> RegionCheck:
     """Slack of the three backward-rate inequalities at (R3, R4, R5)."""
     r3, r4, r5 = point
     dz1, dz2 = targets
@@ -315,11 +318,11 @@ def extended_backward_region_check(src: GaussianCascadeSource,
         _check_arg(name, value)
     s = src.var_z_given_y
     _check_dz(dz1, dz2, s)
-    t1 = 0.5 * math.log2(s / dz1)
-    t2 = 0.5 * math.log2(s / min(dz1, dz2))
-    t3 = 0.5 * math.log2(s / dz2)
+    t1 = _rate(s, dz1)
+    t2 = _rate(s, min(dz1, dz2))
+    t3 = _rate(s, dz2)
     slacks = (r3 - t1, r3 + r5 - t2, r4 + r5 - t3)
-    return RegionCheck(member=min(slacks) >= -tol, slacks=slacks)
+    return RegionCheck(member=min(slacks) >= -_REGION_TOL, slacks=slacks)
 
 
 def _check_dz(dz1, dz2, s):

@@ -120,7 +120,7 @@ def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
     """
     if delta < 0:
         raise ValueError("rate slack delta must be nonnegative")
-    for name in ("p_u", "p_xhat1", "g2"):
+    for name in (*_CASCADE.factors, *_CASCADE.maps):
         if getattr(aux, name) is None:
             raise ValueError(f"auxiliary system is missing {name}")
     # axes (X, Y, Z, U, Xhat1)
@@ -212,6 +212,19 @@ def encode_node0(code: CascadeCode, x_seq: np.ndarray, y_seq: np.ndarray,
     return EncodeOutput(m10=int(code.bins1[l]), m11=m11, l_true=l, e1=e1, e3=e3)
 
 
+def _bin_decode(code: CascadeCode, bins: np.ndarray, index: int, side: np.ndarray,
+                n_side: int, scan: str) -> tuple[np.ndarray, int]:
+    """(hits, decoded codeword) of the scan of bin `index` against `side`.
+
+    The hits are the bin's codewords jointly typical with the side sequence;
+    the decoded codeword is the unique hit, else codeword 0.
+    """
+    members = np.flatnonzero(bins == index)
+    hits = members[_kernels.typical_mask(code.codebook[members], code.sizes[3], side,
+                                         n_side, *code.bounds[scan])]
+    return hits, int(hits[0]) if hits.size == 1 else 0
+
+
 @dataclass(frozen=True)
 class RelayOutput:
     m2: int
@@ -230,19 +243,10 @@ def relay_node1(code: CascadeCode, m10: int, m11: int,
     bin index of the decoded codeword, the relay reconstruction and every
     typical codeword the scan found.
     """
-    nx, ny, nz, nu, nh = code.sizes
-    members = np.flatnonzero(code.bins1 == m10)
-    hits = members[_kernels.typical_mask(code.codebook[members], nu, y_seq, ny,
-                                         *code.bounds["uy"])]
-    if hits.size == 1:
-        l_hat = int(hits[0])
-        e4 = False
-    else:
-        l_hat = 0
-        e4 = True
+    hits, l_hat = _bin_decode(code, code.bins1, m10, y_seq, code.sizes[1], "uy")
     xhat1 = code.xhat1_book(l_hat, y_seq)[m11]
     return RelayOutput(m2=int(code.bins2[l_hat]), l_hat=l_hat,
-                       xhat1_seq=xhat1, e4=e4, hits=hits)
+                       xhat1_seq=xhat1, e4=hits.size != 1, hits=hits)
 
 
 @dataclass(frozen=True)
@@ -261,18 +265,9 @@ def decode_node2(code: CascadeCode, m2: int, z_seq: np.ndarray,
     to the first codeword. Symbolwise reconstruction xhat2_i = g2(u_i, z_i);
     every typical codeword the scan found is returned too.
     """
-    nx, ny, nz, nu, nh = code.sizes
-    members = np.flatnonzero(code.bins2 == m2)
-    hits = members[_kernels.typical_mask(code.codebook[members], nu, z_seq, nz,
-                                         *code.bounds["uz"])]
-    if hits.size == 1:
-        l_tilde = int(hits[0])
-        e5 = False
-    else:
-        l_tilde = 0
-        e5 = True
+    hits, l_tilde = _bin_decode(code, code.bins2, m2, z_seq, code.sizes[2], "uz")
     xhat2 = g2.table[code.codebook[l_tilde], z_seq]
-    return TerminalOutput(l_tilde=l_tilde, xhat2_seq=xhat2, e5=e5, hits=hits)
+    return TerminalOutput(l_tilde=l_tilde, xhat2_seq=xhat2, e5=hits.size != 1, hits=hits)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import errno
 import hashlib
 import io
@@ -17,6 +18,7 @@ from cascade_rd.discrete import (
     save_source_spec,
 )
 from cascade_rd.probability import CondPMF, DeterministicMap, JointPMF
+from test_golden_points import instance
 
 
 @pytest.fixture
@@ -524,3 +526,132 @@ def test_unwritable_out_is_refused_by_name(tmp_path, capsys, target, code):
     err = capsys.readouterr().err
     assert err == f"error: cannot write --out {out}: {os.strerror(code)}\n"
     assert not list(tmp_path.rglob(".cascade-rd-*"))
+
+
+# ------------------------------------------------- CSV shape and refusals
+
+# the header row of each command, captured while each command still listed
+# its input columns by hand: deriving them from the parameters keeps them
+HEADERS = {
+    "gaussian-cascade": "var_a,var_b,var_z,d1,d2,r2,r1,alpha,beta,status,detail",
+    "gaussian-triangular": "var_a,var_b,var_z,d1,d2,r2,r3,r1,alpha,beta,status,detail",
+    "gaussian-two-way": "var_a,var_b,var_z,d1,d2,d3,r2,r3,r4,r1,alpha,beta,"
+                        "r4_threshold,status,detail",
+    "gaussian-extended": "var_a,var_b,var_z,dz1,dz2,r3,r4,case,r3_achieved,r4_achieved,"
+                         "r5_achieved,dist_z1,dist_z2,slack_r3,slack_r3_r5,slack_r4_r5,"
+                         "status,detail",
+    "discrete-eval": "source,aux,setting,r1,r2,r3,r4,rh,d1,d2,d3,status,detail",
+    "discrete-search": "source,d1,d2,r2,u_size,restarts,r1,r2_achieved,d1_achieved,"
+                       "d2_achieved,status,detail",
+    "simulate": "source,aux,n,epsilon,delta,trials,e0_rate,e1_rate,e2_rate,e3_rate,"
+                "e4_rate,e5_rate,d1_mean,d1_ci,d2_mean,d2_ci,clean_trials,d1_mean_clean,"
+                "d2_mean_clean,status,detail",
+    "kaspi-check": "size_a1,size_a2,size_b1,size_b2,m1_size,m2_size,instances,max_i1,"
+                   "max_i2,max_i3,status,detail",
+}
+SMALL_ARGV = {
+    "gaussian-cascade": "--var-a 1 --var-b 1 --var-z 1 --d1 0.25 --d2 2.5 --r2 1",
+    "gaussian-triangular": "--var-a 1 --var-b 1 --var-z 1 --d1 0.25 --d2 0.5 --r2 1 --r3 0.5",
+    "gaussian-two-way": "--var-a 1 --var-b 1 --var-z 1 --d1 0.25 --d2 0.5 --d3 0.3 "
+                        "--r2 1 --r3 0.5 --r4 1",
+    "gaussian-extended": "--var-a 1 --var-b 1 --var-z 1 --dz1 0.1 --dz2 0.3 --r3 2 --r4 0.5",
+    "discrete-eval": "--source {src} --aux {aux} --setting cascade",
+    "discrete-search": "--source {src} --d1 0.3 --d2 0.6 --r2 1 --u-size 2 --restarts 0",
+    "simulate": "--source {src} --aux {aux} --n 8 --epsilon 0.4 --trials 2",
+    "kaspi-check": "--instances 1",
+}
+
+
+def _csv_rows(path):
+    """Header and rows of a CSV the way a CSV reader sees them."""
+    lines = [ln for ln in path.read_text().splitlines(keepends=True)
+             if not ln.startswith("#")]
+    return list(csv.reader(lines))
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_csv_header_rows_are_pinned(tmp_path, ident_files, command):
+    src, aux = ident_files
+    out = tmp_path / "r.csv"
+    argv = SMALL_ARGV[command].format(src=src, aux=aux).split()
+    assert main([command] + argv + ["--out", str(out)]) == 0
+    header, row = _csv_rows(out)
+    assert ",".join(header) == HEADERS[command]
+    assert row[header.index("status")] == "ok"
+
+
+def _search_infeasible(tmp_path, src, aux):
+    # Z is constant, so with r2 = 0 the terminal's distortion stays 0.5
+    return (["discrete-search", "--source", src, "--d1", "0", "--d2", "0.01", "--r2", "0",
+             "--u-size", "2", "--restarts", "1"], 0,
+            "detail", "search found no auxiliary satisfying (d1, d2, r2); the query may "
+                      "be infeasible at this u_size")
+
+
+def _unknown_setting(tmp_path, src, aux):
+    # refused by name with an error row that lists the settings
+    choices = ", ".join(repr(s) for s in sorted(discrete._SETTINGS))
+    return (["discrete-eval", "--source", src, "--aux", aux, "--setting", "foo"], 1,
+            "detail", f"ValueError: unknown setting 'foo'; choose from [{choices}]")
+
+
+def _path_with_comma(tmp_path, src, aux):
+    odd = tmp_path / 'a,"b".txt'
+    odd.write_bytes(open(src, "rb").read())
+    return (["discrete-eval", "--source", str(odd), "--aux", aux, "--setting", "cascade"], 0,
+            "source", str(odd))
+
+
+@pytest.mark.parametrize("case", [_search_infeasible, _unknown_setting, _path_with_comma])
+def test_cells_with_commas_or_quotes_are_quoted(tmp_path, ident_files, case):
+    argv, code, column, text = case(tmp_path, *ident_files)
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--out", str(out)]) == code
+    header, *rows = _csv_rows(out)
+    assert rows and all(len(r) == len(header) for r in rows)
+    assert rows[0][header.index(column)] == text
+
+
+@pytest.mark.parametrize("setting", sorted(discrete._SETTINGS))
+def test_discrete_eval_answers_every_setting(tmp_path, setting):
+    src, aux = instance(setting, 0)
+    paths = [tmp_path / "src.txt", tmp_path / "aux.txt"]
+    paths[0].write_text(save_source_spec(src))
+    paths[1].write_text(save_aux(aux))
+    out = tmp_path / "r.csv"
+    assert main(["discrete-eval", "--source", str(paths[0]), "--aux", str(paths[1]),
+                 "--setting", setting, "--out", str(out)]) == 0
+    row = read_rows(out)[0]
+    assert row["status"] == "ok"
+    want = discrete.evaluate_point(setting, discrete.load_source_spec(paths[0].read_text()),
+                                   discrete.load_aux(paths[1].read_text()))
+    for name in ("r1", "r2", "r3", "r4", "rh", "d1", "d2", "d3"):
+        value = getattr(want, name)
+        assert row[name] == ("" if value is None else "%.12g" % value), name
+
+
+@pytest.mark.parametrize("flag, value, name", [("u-size", "0", "u_size"),
+                                               ("u-size", "-1", "u_size"),
+                                               ("restarts", "-2", "restarts")])
+def test_search_refuses_out_of_range_counts_by_name(tmp_path, ident_files, flag, value,
+                                                    name):
+    src, _ = ident_files
+    flags = {"d1": "0.3", "d2": "0.3", "r2": "1", "u-size": "2", "restarts": "1", flag: value}
+    out = tmp_path / "r.csv"
+    argv = ["discrete-search", "--source", src] + [f"--{k}={v}" for k, v in flags.items()]
+    assert main(argv + ["--out", str(out)]) == 1
+    header, row = _csv_rows(out)
+    row = dict(zip(header, row))
+    assert row["status"] == "error"
+    assert row["detail"].startswith(f"ValueError: {name} must be ")
+
+
+@pytest.mark.parametrize("flag", ["size-a1", "size-a2", "size-b1", "size-b2", "m1-size",
+                                  "m2-size", "instances"])
+def test_kaspi_check_refuses_sizes_below_one_by_name(tmp_path, flag):
+    out = tmp_path / "r.csv"
+    assert main(["kaspi-check", f"--{flag}", "0", "--out", str(out)]) == 1
+    header, row = _csv_rows(out)
+    row = dict(zip(header, row))
+    assert (row["status"], row["detail"]) == ("error", f"ValueError: '{flag}' must be at "
+                                                       "least 1, got 0")

@@ -631,7 +631,7 @@ def _sequential_rd_solve(pxyz, p_u, d1, n_hat, d1_target, ba_iters=80, bisect_it
     pxyu = pxy[:, :, None] * p_u
     d1t = d1[:, :n_hat]
     d_floor = float((pxy.sum(axis=1) * d1t.min(axis=1)).sum())
-    zero = _xhat1_zero_rate(pxyu, d1, n_hat)
+    zero = _xhat1_zero_rate(pxyu, d1)
     d_zero = float(np.einsum("xyu,xyuh,xh->", pxyu, zero, d1t))
     if d1_target >= d_zero - 1e-12:
         return zero, "zero"
@@ -691,7 +691,7 @@ def test_speculative_bisection_matches_the_sequential_one_bit_for_bit():
         pxyu = pxyz.sum(axis=2)[:, :, None] * p_u
         d_floor = float((pxyu.sum(axis=(1, 2)) * d1.min(axis=1)).sum())
         d_zero = float(np.einsum("xyu,xyuh,xh->", pxyu,
-                                 _xhat1_zero_rate(pxyu, d1, n_hat), d1))
+                                 _xhat1_zero_rate(pxyu, d1), d1))
         kind = trial % 10
         target = (d_floor - 0.01 if kind == 0 else d_zero + 0.01 if kind == 1
                   else d_floor + rng.random() * (d_zero - d_floor))
@@ -700,11 +700,27 @@ def test_speculative_bisection_matches_the_sequential_one_bit_for_bit():
         if trial % 7 == 3:
             kw["ba_iters"] = int(rng.integers(1, 8))  # members that never converge
         want, how = _sequential_rd_solve(pxyz, p_u, d1, n_hat, target, **kw)
-        got = _xhat1_rd_solve(pxyz, p_u, d1, n_hat, target, **kw)
+        got = _xhat1_rd_solve(pxyz, p_u, d1, target, **kw)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
         exits.append(how)
     assert exits.count("zero") >= 10 and exits.count("floor") >= 10
     assert sum(1 for e in exits if not isinstance(e, str) and e > 0) >= 10
+
+
+def test_zero_rate_map_matches_the_loop_that_built_it():
+    rng = np.random.default_rng(84)
+    for _ in range(200):
+        pxyz, d1, _ = _random_source_tables(rng)
+        nx, ny, _ = pxyz.shape
+        p_u = rng.dirichlet(np.ones(int(rng.integers(1, 4))), size=(nx, ny))
+        pxyu = pxyz.sum(axis=2)[:, :, None] * p_u
+        pick = np.argmin(np.einsum("xyu,xh->yuh", pxyu, d1), axis=-1)
+        want = np.zeros(pxyu.shape + (d1.shape[1],))
+        for y in range(ny):
+            for u in range(p_u.shape[-1]):
+                want[:, y, u, pick[y, u]] = 1.0
+        got = _xhat1_zero_rate(pxyu, d1)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def _pareto_min_by_loop(points):

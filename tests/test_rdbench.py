@@ -1,10 +1,14 @@
 """The benchmark's own selftest: each of its answer checks accepts a right
 answer and rejects a known-wrong one (a Gaussian (alpha, beta) that breaks
-d2, r1 rising along a sweep, rates off by 1e-6, ...)."""
+d2, r1 rising along a sweep, rates off by 1e-6, ...), and one round of each
+workload of BENCHMARK.json."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,3 +19,19 @@ def test_benchmark_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert lines and all(ln.startswith("ok ") for ln in lines), proc.stdout
+
+
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = [w["name"] for w in BENCHMARK["workloads"]]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_workload_runs_one_round_correctly(workload):
+    """One round of each workload, as the benchmark runs it: the library's
+    names and call signatures that the benchmark uses still work."""
+    proc = subprocess.run([sys.executable, "rdbench/run.py", "--workload", workload,
+                           "--seed", "1", "--seconds", "0"], cwd=ROOT,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    last = json.loads(proc.stdout.splitlines()[-1])
+    assert (last["correct"], last["failed"]) == (True, 0), proc.stdout + proc.stderr
