@@ -16,6 +16,7 @@ import hashlib
 import io
 import math
 import os
+import re
 import sys
 import tempfile
 from dataclasses import dataclass, field
@@ -86,12 +87,19 @@ class ConfigError(ValueError):
     pass
 
 
+# a comment is a '#' that starts a line or follows whitespace, to the line's end
+_COMMENT = re.compile(r"(^|\s)#.*")
+
+
 def load_config(path: str) -> dict:
-    """Flat key-value config: one 'key value' or 'key = value' per line."""
+    """Flat key-value config: one 'key value' or 'key = value' per line.
+
+    A '#' inside a value (`source = data/run#3/src.txt`) is part of it.
+    """
     out = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.sub("", raw).strip()
             if not line:
                 continue
             parts = line.replace("=", " ", 1).split(None, 1)
@@ -346,7 +354,7 @@ def cmd_discrete_search(point, seed):
     )
     return {
         "r1": res.r1, "r2_achieved": res.point.r2,
-        "d1_achieved": res.point.d1, "d2_achieved": res.point.d2,
+        "d1_achieved": res.point.d1, "d2_achieved": res.point.d2, "path": res.path,
     }
 
 
@@ -436,7 +444,7 @@ COMMANDS = {
         [Param("source", str), Param("d1", float), Param("d2", float),
          Param("r2", float), Param("u-size", int),
          Param("restarts", int, default=16)],
-        ["r1", "r2_achieved", "d1_achieved", "d2_achieved"],
+        ["r1", "r2_achieved", "d1_achieved", "d2_achieved", "path"],
         cmd_discrete_search,
     ),
     "simulate": (

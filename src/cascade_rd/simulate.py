@@ -37,7 +37,7 @@ class TypicalityParams:
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
         if self.n < 1:
-            raise ValueError("blocklength must be at least 1")
+            raise ValueError(f"n must be at least 1, got {self.n}")
 
 
 def _ceil_pow2(n: int, rate: float) -> int:
@@ -322,7 +322,7 @@ def run_simulation(src: SourceSpec, aux: AuxiliarySystem, tp: TypicalityParams,
                    delta: float, trials: int, seed: int) -> SimResult:
     """Full pipeline over i.i.d. source triples; deterministic given seed."""
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise ValueError(f"trials must be at least 1, got {trials}")
     code = build_cascade_code(src, aux, tp, delta, seed)
     nx, ny, nz, nu, nh = code.sizes
     n = code.n

@@ -19,6 +19,7 @@ from cascade_rd.discrete import (
 )
 from cascade_rd.probability import CondPMF, DeterministicMap, JointPMF
 from test_golden_points import instance
+from test_golden_search import dsbs_source
 
 
 @pytest.fixture
@@ -249,6 +250,34 @@ def test_load_config_reports_malformed_line(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(str(cfg))
     assert ":1" in str(err.value)
+
+
+def test_config_value_may_hold_a_hash(tmp_path, ident_files, monkeypatch):
+    src, aux = ident_files
+    run = tmp_path / "data" / "run#3"
+    run.mkdir(parents=True)
+    (run / "src.txt").write_bytes(open(src, "rb").read())
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("# a comment line\nsource = data/run#3/src.txt  # trailing comment\n"
+                   f"aux = {aux}\nsetting = cascade\n")
+    assert load_config(str(cfg))["source"] == ("data/run#3/src.txt", 2)
+    out = tmp_path / "r.csv"
+    monkeypatch.chdir(tmp_path)  # the config's source path is relative
+    assert main(["discrete-eval", "--config", str(cfg), "--out", str(out)]) == 0
+    assert read_rows(out)[0]["status"] == "ok"
+
+
+@pytest.mark.parametrize("flag", ["n", "trials"])
+def test_simulate_refuses_counts_below_one_by_name(tmp_path, ident_files, flag):
+    src, aux = ident_files
+    flags = {"n": "8", "epsilon": "0.4", "trials": "2", flag: "0"}
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--source", src, "--aux", aux] + [f"--{k}={v}" for k, v in flags.items()]
+    assert main(argv + ["--out", str(out)]) == 1
+    header, row = _csv_rows(out)
+    row = dict(zip(header, row))
+    assert (row["status"], row["detail"]) == ("error",
+                                              f"ValueError: {flag} must be at least 1, got 0")
 
 
 def test_integer_flag_sweep_gives_ok_rows(tmp_path, ident_files):
@@ -542,7 +571,7 @@ HEADERS = {
                          "status,detail",
     "discrete-eval": "source,aux,setting,r1,r2,r3,r4,rh,d1,d2,d3,status,detail",
     "discrete-search": "source,d1,d2,r2,u_size,restarts,r1,r2_achieved,d1_achieved,"
-                       "d2_achieved,status,detail",
+                       "d2_achieved,path,status,detail",
     "simulate": "source,aux,n,epsilon,delta,trials,e0_rate,e1_rate,e2_rate,e3_rate,"
                 "e4_rate,e5_rate,d1_mean,d1_ci,d2_mean,d2_ci,clean_trials,d1_mean_clean,"
                 "d2_mean_clean,status,detail",
@@ -628,6 +657,24 @@ def test_discrete_eval_answers_every_setting(tmp_path, setting):
     for name in ("r1", "r2", "r3", "r4", "rh", "d1", "d2", "d3"):
         value = getattr(want, name)
         assert row[name] == ("" if value is None else "%.12g" % value), name
+
+
+@pytest.mark.parametrize("flags, path", [
+    ("--d2 0.33 --r2 0.4 --restarts 2", "relay-floor"),  # a golden DSBS query
+    ("--d2 0.4 --r2 0.05 --restarts 0", "search"),  # the constant-U anchor wins
+])
+def test_search_rows_name_their_path(tmp_path, flags, path):
+    src = tmp_path / "src.txt"
+    src.write_text(save_source_spec(dsbs_source()))
+    out = tmp_path / "r.csv"
+    argv = f"discrete-search --source {src} --d1 0.05 --u-size 2 {flags} --out {out}"
+    assert main(argv.split()) == 0
+    row = read_rows(out)[0]
+    assert (row["status"], row["path"]) == ("ok", path)
+    res = discrete.min_r1_cascade_search(discrete.load_source_spec(src.read_text()),
+                                         *(float(row[k]) for k in ("d1", "d2", "r2")),
+                                         u_size=2, restarts=int(row["restarts"]))
+    assert res.path == path and row["r1"] == "%.12g" % res.r1
 
 
 @pytest.mark.parametrize("flag, value, name", [("u-size", "0", "u_size"),

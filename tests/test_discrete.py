@@ -438,6 +438,33 @@ def test_search_infeasible_distortion():
                               r2_budget=1.0, u_size=2)
 
 
+def h2(p):
+    return -p * np.log2(p) - (1 - p) * np.log2(1 - p)
+
+
+# (d1, d2, r2, restarts) on acceptance 7's instance B. The first six bind d2
+# or couple the relay and the terminal, the last two have few restarts; the
+# restarts alone answer none of them.
+FLOOR_QUERIES = [(0.2, 0.15, 1.0, 8), (0.15, 0.15, 1.0, 8), (0.2, 0.15, 0.7, 8),
+                 (0.1, 0.12, 1.0, 8), (0.1, 0.25, 0.5, 8), (0.12, 0.3, 0.15, 8),
+                 (0.05, 0.3, 0.4, 1), (0.05, 0.3, 0.3, 2)]
+
+
+@pytest.mark.parametrize("d1, d2, r2, restarts", FLOOR_QUERIES)
+def test_search_answers_on_the_relay_floor(d1, d2, r2, restarts):
+    pmf = compose_markov_chain(np.array([0.5, 0.5]),
+                               CondPMF(np.array([[0.8, 0.2], [0.2, 0.8]])),
+                               CondPMF(np.array([[0.7, 0.3], [0.3, 0.7]])))
+    src = SourceSpec(pmf, HAMMING, HAMMING)
+    res = min_r1_cascade_search(src, d1, d2, r2, u_size=2, restarts=restarts, seed=0)
+    # the conditional rate-distortion floor of the doubly symmetric source
+    assert res.r1 == pytest.approx(h2(0.2) - h2(min(d1, d2)), abs=1e-6)
+    assert res.path == "relay-floor"
+    pt = eval_cascade_point(src, res.aux)
+    assert pt.r1 == pytest.approx(res.r1, abs=1e-12)
+    assert pt.d1 <= d1 + 1e-9 and pt.d2 <= d2 + 1e-9 and pt.r2 <= r2 + 1e-9
+
+
 # --------------------------------------------------------------------- oracle
 
 

@@ -1,10 +1,14 @@
 """Pinned answers of the cascade search and the enumeration oracle.
 
-Every value was captured from the one-at-a-time search and oracle before
-their loops were batched, as `float.hex` (r1) and as the first 16 hex digits
-of the sha256 of the returned tables' bytes. Any change to the arithmetic of
-the information core, the Blahut-Arimoto solve, the finite-difference pass
-or the enumeration shows here as a changed bit.
+Values are `float.hex` (r1) and the first 16 hex digits of the sha256 of the
+returned tables' bytes. The oracle pins, the ternary search pin and the
+fallback pin were captured from the one-at-a-time search and oracle before
+their loops were batched. The seven DSBS search pins were captured once the
+search returned the relay-floor auxiliary; each r1 is within 4e-13 bits of
+the restarts' answer that it replaced, and only the tables differ. Any
+change to the arithmetic of the information core, the Blahut-Arimoto solve,
+the finite-difference pass, the floor construction or the enumeration shows
+here as a changed bit.
 """
 
 import hashlib
@@ -46,19 +50,19 @@ G2_IDENTITY = "b64c0d4ec2af5aba"
 # (d1, d2, r2) -> r1, p_u, p_xhat1, g2 of min_r1_cascade_search(u_size=2,
 # restarts=2, seed=0), and the least r1 of oracle_min_r1(u_size=2, resolution=5)
 DSBS = {
-    (0.05, 0.33, 0.4): ("0x1.bdfbdfe47f5d0p-2", "47a0fb8bc8673659", "a1c28b31b1b4357f",
+    (0.05, 0.33, 0.4): ("0x1.bdfbdfe47f5b8p-2", "6aea36fe5b3a1d13", "27304f5a90071f3d",
                         "0x1.71a08f2b35a90p-1"),
-    (0.08, 0.36, 0.4): ("0x1.476c41c23a218p-2", "12295e90b230bbf9", "35a3cda49fb11336",
+    (0.08, 0.36, 0.4): ("0x1.476c41c23a210p-2", "d5ac4e4b00d52367", "4bf6dd2233e37708",
                         "0x1.5737000964f24p-2"),
-    (0.10, 0.33, 0.5): ("0x1.0300bcd4b1120p-2", "bb6327b50ad567fb", "05dcaa49b7732b4f",
+    (0.10, 0.33, 0.5): ("0x1.0300bcd4b1118p-2", "b4f931d130874999", "219c695e07af770e",
                         "0x1.2cf81ebbbace4p-2"),
-    (0.12, 0.36, 0.3): ("0x1.8a60b00b53970p-3", "a71f93e6aea5e532", "4aba048b0cd7cd41",
+    (0.12, 0.36, 0.3): ("0x1.8a60b00b4f560p-3", "5c59e5baff9474b4", "791c8b7b2ac0414a",
                         "0x1.a9f62c99a9318p-3"),
-    (0.15, 0.33, 0.4): ("0x1.cb1c91110d7a0p-4", "a068b97aae66be9a", "d28fe61d55b4341e",
+    (0.15, 0.33, 0.4): ("0x1.cb1c91110d0a0p-4", "4e45482387b2f29a", "59b0ab4e9c24e9f8",
                         "0x1.5737000964f10p-3"),
-    (0.15, 0.36, 0.5): ("0x1.cb1c911112f00p-4", "298e4cef58b4e585", "f637ec349203de48",
+    (0.15, 0.36, 0.5): ("0x1.cb1c91110d0a0p-4", "2a7fb64e6c0e90f3", "2c4fb80edb573458",
                         "0x1.393cb4ff7ccc0p-3"),
-    (0.10, 0.36, 0.4): ("0x1.0300bcd4af8e8p-2", "7050769d9ea5b09a", "e5bf9b9c66c04f85",
+    (0.10, 0.36, 0.4): ("0x1.0300bcd4b1118p-2", "3d4160d8e5c4bb64", "74027e737256fadd",
                         "0x1.16190b2b1cc54p-2"),
 }
 
@@ -68,15 +72,29 @@ def test_dsbs_search_and_oracle_are_pinned(query):
     r1, p_u, p_xhat1, oracle = DSBS[query]
     src = dsbs_source()
     res = min_r1_cascade_search(src, *query, u_size=2, restarts=2, seed=0)
+    assert res.path == "relay-floor"
     assert res.r1.hex() == r1
     assert (digest(res.aux.p_u.table), digest(res.aux.p_xhat1.table),
             digest(res.aux.g2.table)) == (p_u, p_xhat1, G2_IDENTITY)
     assert oracle_min_r1(src, 2, 5, *query).hex() == oracle
 
 
+def test_search_fallback_is_pinned():
+    # the relay-floor candidate is feasible here, but not below the constant-U
+    # anchor, so the restarts run as they did before the candidate existed
+    res = min_r1_cascade_search(dsbs_source(), 0.05, 0.4, 0.05, u_size=2, restarts=2,
+                                seed=0)
+    assert res.path == "search"
+    assert res.r1.hex() == "0x1.bdfbdfe47f258p-2"
+    assert (digest(res.aux.p_u.table), digest(res.aux.p_xhat1.table),
+            digest(res.aux.g2.table)) == ("fbc55c5787edc3a0", "bd3a2e89525a6c94",
+                                          "01c84f606ffe38ee")
+
+
 def test_ternary_search_is_pinned():
     res = min_r1_cascade_search(ternary_source(), 0.15, 0.45, 0.6, u_size=2,
                                 restarts=2, seed=0)
+    assert res.path == "search"  # |Xhat1| = 3 exceeds u_size
     assert res.r1.hex() == "0x1.df50ea8fdb694p-2"
     assert (digest(res.aux.p_u.table), digest(res.aux.p_xhat1.table),
             digest(res.aux.g2.table)) == ("3b53a9597b7410c8", "d32aec5a11628c88",
