@@ -180,7 +180,9 @@ def _resolve(args, params, swept: str | None = None):
             raise ConfigError(f"{args.config}:{lineno}: key {key!r} is not read from "
                               f"a config file; give --{key} on the command line")
         if key != "seed" and key not in known:
-            raise ConfigError(f"{args.config}:{lineno}: unknown key {key!r}")
+            flag = key.replace("_", "-")
+            hint = f" (write {flag})" if flag in known else ""
+            raise ConfigError(f"{args.config}:{lineno}: unknown key {key!r}{hint}")
     for p in params:
         flag_val = getattr(args, p.dest)
         if flag_val is not None:

@@ -21,9 +21,10 @@ simulator and the CLI read the same table.
 
 The search and the oracle evaluate stacks of tables through the batch axis
 of that core: the finite-difference gradient of one exponentiated-gradient
-step is one stack, the relay solve's bisection runs as a speculative tree of
-Blahut-Arimoto solves, and the oracle enumerates channels in bounded chunks.
-Every answer is bit-identical to evaluating the tables one at a time.
+step is one stack, and the oracle enumerates channels in bounded chunks.
+Every answer is bit-identical to evaluating the tables one at a time. The
+relay solve (`_xhat1_rd_solve`) solves each slope to Blahut's bound by
+Newton steps and finds the slope by a bracketed regula falsi.
 """
 
 from __future__ import annotations
@@ -335,26 +336,53 @@ def _xhat1_zero_rate(pxyu, d1):
     return np.eye(d1.shape[1])[np.broadcast_to(pick, pxyu.shape)]
 
 
-# depth of the tree of multipliers that one batched Blahut-Arimoto run of the
-# relay solve tries: 2**depth - 1 solves buy `depth` steps of its bisection
-_BISECT_DEPTH = 4
+# the relay solve stops a slope's iterations once Blahut's bound puts the
+# Lagrangian within _RD_TOL bits of its optimum, and stops the slope search
+# once the channel's distortion shortfall can cost at most _RD_TOL bits
+_RD_TOL = 1e-13
+# caps on the iterations of one slope and on the slopes of one solve. The
+# tests' random inputs need at most 34 and 23; a cell holding an x of
+# probability near 1e-12 whose symbols weigh 2^-100 and less can reach the
+# first, as Blahut's bound is loose there and Newton only doubles a starved
+# symbol per step. The channel returned still meets the target.
+_RD_ITERS = 200
+_RD_SLOPES = 100
+# share of the uniform law mixed into a warm start, and given to a symbol
+# that the Blahut-Arimoto step must let back in, so no symbol stays dead
+_REVIVE = 1e-6
 
 
-def _xhat1_rd_solve(pxyz, p_u, d1, d1_target, ba_iters=80, bisect_iters=40):
+def _xhat1_rd_solve(pxyz, p_u, d1, d1_target):
     """Conditional rate-distortion channel for the relay reconstruction.
 
-    Minimizes I(X; Xhat1 | U, Y) subject to E d1 <= d1_target for fixed p_u,
-    by Blahut-Arimoto iterations with a bisected distortion multiplier.
-    The bisection is speculative: one batched Blahut-Arimoto run solves all
-    2**_BISECT_DEPTH - 1 midpoints that the next _BISECT_DEPTH steps could
-    visit (each by the same 0.5*(lo + hi) recursion), and then the steps are
-    taken. Every member of the batch stops at the iteration where it alone
-    would stop, so the channel is bit-identical to a one-at-a-time
-    bisection's. Returns the channel table p(xhat1|x,y,u).
+    Minimizes I(X; Xhat1 | U, Y) subject to E d1 <= d1_target for fixed
+    p_u, and returns the channel table p(xhat1|x,y,u).
+
+    At a slope lam (bits per unit of d1) each cell c = (y, u) is the
+    rate-distortion problem of p(x|c): over output laws q(h|c), minimize
+    -sum_x p(x|c) log sum_h q(h|c) w(x,h), w = 2^{-lam (d1 - min_h d1)}
+    (each row's best symbol weighs 1, so no weight underflows to a dead
+    row), whose channel is q w / z with z = sum_h q w. Blahut-Arimoto
+    multiplies q by c(h) = sum_x p(x|c) w(x,h) / z(x); the fixed point has
+    c = 1 on the support of q and c <= 1 off it, and Blahut's bound puts the
+    Lagrangian within sum_c p(c) log2 max_h c(h) bits of its optimum. Each
+    iteration takes the Newton step of that problem on the support of q
+    (plus the symbols with c > 1), cut at the simplex boundary, and falls
+    back to the Blahut-Arimoto step in the cells where Newton does not
+    descend; each slope warm-starts from the previous one's q.
+
+    The slope is found by Illinois regula falsi on E d1 - d1_target, both
+    measured above the floor, inside a bracket (bisecting when one end is
+    kept three times running), and the channel returned is that of the
+    bracket's feasible end, E d1 <= d1_target. Where D(lam) jumps over the
+    target (a linear piece of the rate-distortion curve), the bracket
+    shrinks to a point and the two ends' channels are time-shared to meet
+    the target instead: mutual information is convex in the channel, so the
+    rate is at most the chord's, which is the curve there.
     """
     pxy = pxyz.sum(axis=2)
     pxyu = pxy[:, :, None] * p_u  # (X, Y, U)
-    n_hat = d1.shape[1]
+    nx, n_hat = d1.shape
 
     # full-information floor and zero-rate ceiling
     d_floor = float((pxy.sum(axis=1) * d1.min(axis=1)).sum())
@@ -362,63 +390,122 @@ def _xhat1_rd_solve(pxyz, p_u, d1, d1_target, ba_iters=80, bisect_iters=40):
     d_zero = float(np.einsum("xyu,xyuh,xh->", pxyu, zero, d1))
     if d1_target >= d_zero - 1e-12:
         return zero
+    floor = np.eye(n_hat)[np.argmin(d1, axis=1)]  # (X, H)
+    floor_channel = np.broadcast_to(floor[:, None, None, :], pxyu.shape + (n_hat,))
     if d1_target <= d_floor + 1e-12:
-        pick = np.argmin(d1, axis=1)  # (X,)
-        return np.eye(n_hat)[np.broadcast_to(pick[:, None, None], pxyu.shape)]
+        return floor_channel.copy()
 
-    def renorm(t):
-        s = t.sum(axis=-1, keepdims=True)
-        # zero-probability conditioning cells get an arbitrary (uniform) row
-        out = np.full(t.shape, 1.0 / t.shape[-1])
-        return np.divide(t, s, out=out, where=s > 1e-200)
+    pcx = pxyu.reshape(nx, -1).T  # (C, X): p(c, x) per cell c = (y, u)
+    live = pcx.sum(axis=1) > 0
+    pcx = pcx[live]
+    p_c = pcx.sum(axis=1)
+    a = pcx / p_c[:, None]  # p(x|c)
+    excess = d1 - d1.min(axis=1, keepdims=True)
+    diag = (slice(None), np.arange(n_hat), np.arange(n_hat))
 
-    def ba(lams):
-        """Channels (B, X, Y, U, H) and distortions (B,) at the multipliers."""
-        lams = np.array(lams)[:, None, None]
-        phi = np.full((len(lams),) + pxyu.shape + (n_hat,), 1.0 / n_hat)
-        w = np.exp(-lams * np.log(2.0) * d1)  # (B, X, H)
-        live = np.ones(len(lams), dtype=bool)
-        for _ in range(ba_iters):
-            q = renorm(np.einsum("xyu,bxyuh->byuh", pxyu, phi))
-            new = renorm(q[:, None, :, :, :] * w[:, :, None, None, :])
-            done = np.abs(new - phi).reshape(len(new), -1).max(axis=1) < 1e-12
-            if live.all():
-                phi = new
-            else:
-                phi[live] = new[live]
-            live &= ~done
-            if not live.any():
+    def newton(c, hess, act):
+        """Newton steps (C, H) on the simplex faces of the symbols in `act`."""
+        kkt = np.zeros((len(c), n_hat + 1, n_hat + 1))
+        kkt[:, :n_hat, :n_hat] = hess * (act[:, :, None] & act[:, None, :])
+        ridge = 1e-12 * kkt[diag].max(axis=1)  # the Hessian is singular on ties
+        kkt[diag] += np.where(act, ridge[:, None], 1.0)
+        kkt[:, :n_hat, n_hat] = kkt[:, n_hat, :n_hat] = act
+        rhs = np.zeros((len(c), n_hat + 1, 1))
+        rhs[:, :n_hat, 0] = c * act
+        try:
+            return np.linalg.solve(kkt, rhs)[:, :n_hat, 0]
+        except np.linalg.LinAlgError:  # no step; the Blahut-Arimoto one is taken
+            return np.full(c.shape, np.nan)
+
+    def solve(lam, q):
+        """(q, channel (C, X, H), E d1 - d_floor) at one slope, warm-started at q."""
+        w = np.exp2(-lam * excess)  # (X, H)
+        q = (1.0 - _REVIVE) * q + _REVIVE / n_hat
+        for _ in range(_RD_ITERS):
+            z = np.maximum(q @ w.T, 1e-300)  # (C, X)
+            ratio = a / z
+            c = ratio @ w  # (C, H)
+            if p_c @ np.log2(c.max(axis=1)) <= _RD_TOL:
                 break
-        return phi, np.einsum("xyu,bxyuh,xh->b", pxyu, phi, d1)
+            with np.errstate(over="ignore"):  # an overflow gives no Newton step
+                hess = np.einsum("cx,xh,xk->chk", ratio / z, w, w)
+            act = (q > 0) | (c > 1.0)
+            delta = newton(c, hess, act)
+            dead = (q == 0) & (delta < 0)  # symbols let in that Newton would not keep
+            if dead.any():
+                delta = newton(c, hess, act & ~dead)
+            shrink = (delta < 0) & (q > 0)  # a symbol at 0 with delta < 0 stays out
+            block = np.where(shrink, q / np.where(shrink, -delta, 1.0), np.inf)
+            step = np.minimum(block.min(axis=1), 1.0)[:, None]
+            before = -(pcx * np.log(z)).sum(axis=1)
+            # the Blahut-Arimoto step, kept where no Newton step descends; it
+            # cannot grow a symbol from 0, so one that c asks for restarts at
+            # the warm start's share
+            new = np.where((q == 0) & (c > 1.0), _REVIVE / n_hat, q * c)
+            todo = np.ones(len(q), dtype=bool)
+            for _ in range(4):  # Newton, cut at the boundary, then shortened
+                move = q + step * delta
+                cand = np.where((block <= step) | (move < 0), 0.0, move)
+                cand /= cand.sum(axis=1, keepdims=True)
+                after = -(pcx * np.log(np.maximum(cand @ w.T, 1e-300))).sum(axis=1)
+                ok = todo & (after <= before)
+                new[ok] = cand[ok]
+                todo &= ~ok
+                if not todo.any():
+                    break
+                step = step / 4.0
+            q = new / new.sum(axis=1, keepdims=True)
+        joint = q[:, None, :] * w  # (C, X, H)
+        s = joint.sum(axis=-1, keepdims=True)
+        # an unseen x whose symbols all left the support keeps its best one
+        chan = np.divide(joint, s, out=np.broadcast_to(floor, joint.shape).copy(),
+                         where=s > 0)
+        return q, chan, float(np.einsum("cx,cxh,xh->", pcx, chan, excess))
 
-    lam_lo, lam_hi = 0.0, 4.0 / max(d1.max(), 1e-12)
-    phis, dists = ba([lam_hi])
-    for _ in range(60):
-        if dists[0] <= d1_target:
+    # distortions are measured above the floor, where a steep slope still
+    # resolves them: E d1 = d_floor + E excess, as each channel row sums to 1
+    target = d1_target - d_floor
+    # bracket: slope 0 gives the zero-rate point; grow the feasible end
+    lo = (0.0, d_zero - d_floor, zero.reshape(nx, -1, n_hat)[:, live].transpose(1, 0, 2))
+    q = np.full((len(p_c), n_hat), 1.0 / n_hat)
+    lam = 4.0 / max(d1.max(), 1e-12)
+    for _ in range(61):
+        q, chan, dist = solve(lam, q)
+        if dist <= target:
             break
-        lam_hi *= 4.0
-        phis, dists = ba([lam_hi])
-    best = phis[0]
-    steps = bisect_iters
-    while steps > 0:
-        depth = min(_BISECT_DEPTH, steps)
-        # the tree's midpoints in heap order: node i has children 2i+1 (the
-        # lower half of its bracket) and 2i+2 (the upper half)
-        lams, brackets = [], [(lam_lo, lam_hi)]
-        for _ in range(depth):
-            mids = [0.5 * (lo + hi) for lo, hi in brackets]
-            lams += mids
-            brackets = [half for (lo, hi), mid in zip(brackets, mids)
-                        for half in ((lo, mid), (mid, hi))]
-        phis, dists = ba(lams)
-        node = 0
-        for _ in range(depth):
-            if dists[node] <= d1_target:
-                lam_hi, best, node = lams[node], phis[node], 2 * node + 1
-            else:
-                lam_lo, node = lams[node], 2 * node + 2
-        steps -= depth
-    return best
+        lo = (lam, dist, chan)
+        lam *= 4.0
+    else:  # no slope in range meets the target; the floor channel does
+        return floor_channel.copy()
+    hi = (lam, dist, chan)
+    f_lo, f_hi, side, run = lo[1] - target, hi[1] - target, 0, 0
+    for slope in range(_RD_SLOPES + 1):
+        # R(D) is convex with slope -lam at the feasible end, so that end costs
+        # at most lam (target - D) bits
+        shortfall = hi[0] * (target - hi[1])
+        if shortfall <= _RD_TOL or hi[0] - lo[0] <= 1e-15 * hi[0] or slope == _RD_SLOPES:
+            break
+        lam = hi[0] - f_hi * (hi[0] - lo[0]) / (f_hi - f_lo)
+        if run >= 3 or not lo[0] < lam < hi[0]:  # regula falsi stalls on a jump
+            lam = 0.5 * (lo[0] + hi[0])
+        q, chan, dist = solve(lam, q)
+        if dist <= target:
+            hi, f_hi = (lam, dist, chan), dist - target
+            if side > 0:  # Illinois: halve the value of an end kept twice
+                f_lo *= 0.5
+            side, run = 1, run + 1 if side > 0 else 1
+        else:
+            lo, f_lo = (lam, dist, chan), dist - target
+            if side < 0:
+                f_hi *= 0.5
+            side, run = -1, run + 1 if side < 0 else 1
+    chan = hi[2]
+    if shortfall > _RD_TOL:  # D(lam) jumps over the target: time-share the ends
+        t = (target - hi[1]) / (lo[1] - hi[1])
+        chan = t * lo[2] + (1.0 - t) * hi[2]
+    out = zero.reshape(nx, -1, n_hat).copy()
+    out[:, live] = chan.transpose(1, 0, 2)
+    return out.reshape(pxyu.shape + (n_hat,))
 
 
 def _search_objective(pxyz, p_u_raw, p_xhat1, g2_table, d1, d2, r2_cap, d2_cap, weight):
@@ -516,12 +603,14 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
     one candidate is tried before the restarts. Let W be the relay solve's
     channel p(w|x,y) at D* = min(d1_target, d2_target) with U constant, so
     that I(X; W | Y) = R(D*), the conditional rate-distortion function
-    R_{X|Y} of that table (to the solve's bisection tolerance). U is W
+    R_{X|Y} of that table (to the solve's certified tolerance). U is W
     zero-padded to u_size symbols and garbled toward its marginal until r2
     fits; Xhat1 is W read through its posterior p(w|x,y,u); g2 is the best
-    response. When this candidate meets the query below the constant-U
-    anchor, it is returned and no restart runs (`path` "relay-floor"),
-    because no auxiliary that meets the query does better:
+    response. Its r1 is R(D*), so when the best candidate so far (this one,
+    or the constant-U anchor when it is already on the floor) meets the
+    query with an r1 at most 1e-12 bits above it, that candidate is returned
+    and no restart runs (`path` "relay-floor"), because no auxiliary that
+    meets the query does better:
       - each has r1 = I(X; Xhat1, U | Y) >= I(X; Xhat1 | Y) >= R(E d1)
         >= R(d1_target);
       - (X, U) - Y - Z is Markov, so I(X; Z | Y, U) = 0 and r1 >= I(X; U | Y)
@@ -554,7 +643,10 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
     best = None  # the first feasible candidate of least r1
 
     def consider(p_u, p_xhat1, g2_table):
-        """Keep a candidate that meets the query below every earlier one."""
+        """Keep a candidate that meets the query below every earlier one.
+
+        Returns the candidate's r1, kept or not.
+        """
         nonlocal best
         vals = _cascade_quantities(pxyz, p_u, p_xhat1, g2_table, src.d1, src.d2)
         r1, r2, d1v, d2v = vals
@@ -565,8 +657,7 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
         )
         if ok and (best is None or r1 < best[-1][0]):
             best = (p_u, p_xhat1, g2_table, vals)
-            return True
-        return False
+        return r1
 
     # constant-U anchor: exact for the d2-slack regime
     p_u_const = np.zeros((nx, ny, u_size))
@@ -581,7 +672,8 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
         w = (xhat1_const if d1_target <= d2_target
              else _xhat1_rd_solve(pxyz, p_u_const[:, :, :1], src.d1, d2_target))
         p_u, p_xhat1 = _relay_floor(pxyz, w[:, :, 0], u_size, r2_budget)
-        if consider(p_u, p_xhat1, _g2_best_response(pxyz, p_u, src.d2)):
+        floor_r1 = consider(p_u, p_xhat1, _g2_best_response(pxyz, p_u, src.d2))
+        if best is not None and best[-1][0] <= floor_r1 + 1e-12:
             restarts, path = 0, "relay-floor"
 
     for restart in range(restarts):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -87,10 +88,15 @@ def aux_stats(src: GaussianCascadeSource, aux: GaussianAux) -> AuxStats:
 
 
 def conditional_variance(cov: np.ndarray, target: int, observed) -> float:
-    """Var(target | observed) for a jointly Gaussian vector via Schur complement.
+    """Var(target | observed) for a jointly Gaussian vector, exact for `cov`.
 
-    The observed block is pseudo-inverted, so exactly collinear observations
-    are handled without regularization knobs.
+    Conditions on one observation at a time, the Cholesky (symmetric
+    elimination) update of the Schur complement, in exact rational
+    arithmetic on the float entries, so the only rounding is that of the
+    result: no cancellation between terms of the size of the prior variance
+    enters it. An observation whose conditional variance given the earlier
+    ones is not positive is a combination of them and is skipped, so exactly
+    collinear observations are handled without regularization knobs.
     """
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
@@ -104,12 +110,17 @@ def conditional_variance(cov: np.ndarray, target: int, observed) -> float:
     observed = list(observed)
     if target < 0 or target >= n or any(i < 0 or i >= n for i in observed):
         raise ValueError("index out of range")
-    if not observed:
-        return float(cov[target, target])
-    sigma_oo = cov[np.ix_(observed, observed)]
-    sigma_to = cov[target, observed]
-    resid = cov[target, target] - sigma_to @ np.linalg.pinv(sigma_oo) @ sigma_to
-    return float(max(0.0, resid))
+    keep = list(dict.fromkeys([target, *observed]))
+    m = {(i, j): Fraction(float(cov[i, j])) for i in keep for j in keep}
+    for k in dict.fromkeys(observed):
+        pivot = m[k, k]
+        if pivot <= 0:
+            continue
+        col = {i: m[i, k] for i in keep}
+        for i in keep:
+            for j in keep:
+                m[i, j] -= col[i] * col[j] / pivot
+    return float(max(Fraction(0), m[target, target]))
 
 
 # -------------------------------------------------------- forward-link solver

@@ -137,6 +137,22 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "bogus-key" in err and ":2" in err
 
 
+def test_config_key_written_as_a_field_name_gets_the_flag_as_a_hint(tmp_path, capsys,
+                                                                   ident_files):
+    # config keys are flag names; the CSV header uses the field names
+    src, _ = ident_files
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"source = {src}\nu_size = 2\nbogus_key = 3\n")
+    assert main(["discrete-search", "--config", str(cfg), "--d1", "0.3", "--d2", "0.3",
+                 "--r2", "1"]) == 2
+    assert "run.cfg:2: unknown key 'u_size' (write u-size)" in capsys.readouterr().err
+    cfg.write_text(f"source = {src}\nbogus_key = 3\n")
+    assert main(["discrete-search", "--config", str(cfg), "--d1", "0.3", "--d2", "0.3",
+                 "--r2", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'bogus_key'" in err and "write" not in err
+
+
 def test_config_seed_is_used_unless_the_flag_is_given(tmp_path):
     def run(name, cfg_text, *flags):
         cfg = tmp_path / f"{name}.cfg"
@@ -660,14 +676,15 @@ def test_discrete_eval_answers_every_setting(tmp_path, setting):
 
 
 @pytest.mark.parametrize("flags, path", [
-    ("--d2 0.33 --r2 0.4 --restarts 2", "relay-floor"),  # a golden DSBS query
-    ("--d2 0.4 --r2 0.05 --restarts 0", "search"),  # the constant-U anchor wins
+    pytest.param("--d1 0.05 --d2 0.33 --r2 0.4", "relay-floor",  # a golden DSBS query
+                 id="--d2 0.33 --r2 0.4 --restarts 2-relay-floor"),
+    ("--d1 0.18 --d2 0.37 --r2 0.05", "search"),  # the golden fallback query
 ])
 def test_search_rows_name_their_path(tmp_path, flags, path):
     src = tmp_path / "src.txt"
     src.write_text(save_source_spec(dsbs_source()))
     out = tmp_path / "r.csv"
-    argv = f"discrete-search --source {src} --d1 0.05 --u-size 2 {flags} --out {out}"
+    argv = f"discrete-search --source {src} --u-size 2 --restarts 2 {flags} --out {out}"
     assert main(argv.split()) == 0
     row = read_rows(out)[0]
     assert (row["status"], row["path"]) == ("ok", path)

@@ -27,6 +27,7 @@ from cascade_rd.probability import (
     CondPMF,
     DeterministicMap,
     JointPMF,
+    cmi,
     compose_markov_chain,
 )
 
@@ -649,10 +650,11 @@ def test_setting_evaluate_on_a_stack_is_bit_identical_per_row():
 
 
 def _sequential_rd_solve(pxyz, p_u, d1, n_hat, d1_target, ba_iters=80, bisect_iters=40):
-    """The relay solve with one Blahut-Arimoto run per bisection step.
+    """The relay solve before it solved each slope to convergence.
 
-    Returns the channel and the exit taken: "zero", "floor", or the number of
-    times the multiplier bracket grew before the bisection.
+    One Blahut-Arimoto run of at most `ba_iters` iterations per step of a
+    bisected slope. Returns the channel and the exit taken: "zero",
+    "floor", or the number of times the slope bracket grew.
     """
     pxy = pxyz.sum(axis=2)
     pxyu = pxy[:, :, None] * p_u
@@ -705,9 +707,61 @@ def _sequential_rd_solve(pxyz, p_u, d1, n_hat, d1_target, ba_iters=80, bisect_it
     return best, grown
 
 
-def test_speculative_bisection_matches_the_sequential_one_bit_for_bit():
+def _slow_rd_solve(pxyz, p_u, d1, d1_target):
+    """Plain Blahut-Arimoto until a step moves q by < 1e-15, 50 bisection steps.
+
+    Iterates on the output law q(xhat1|y,u) of the cells (y, u) of positive
+    probability. Each slope starts from the previous slope's q mixed with
+    1e-9 of the uniform law, so no symbol starts dead; the weights are taken
+    relative to each row's best symbol, so none underflows. Assumes a target
+    strictly between the floor and the zero-rate distortion.
+    """
+    nx, n_hat = d1.shape
+    pcx = (pxyz.sum(axis=2)[:, :, None] * p_u).reshape(nx, -1).T
+    live = pcx.sum(axis=1) > 0
+    a = pcx[live] / pcx[live].sum(axis=1, keepdims=True)
+    excess = d1 - d1.min(axis=1, keepdims=True)
+
+    def ba(lam, q):
+        w = np.exp2(-lam * excess)
+        q = (1.0 - 1e-9) * q + 1e-9 / n_hat
+        for _ in range(100_000):  # the step's change is checked every 16 steps
+            for _ in range(16):
+                last, q = q, q * ((a / (q @ w.T)) @ w)
+            if np.abs(q - last).max() < 1e-15:
+                break
+        chan = np.full((len(pcx), nx, n_hat), 1.0 / n_hat)
+        chan[live] = q[:, None, :] * w
+        chan /= chan.sum(axis=-1, keepdims=True)
+        table = chan.transpose(1, 0, 2).reshape(p_u.shape + (n_hat,))
+        return q, table, _relay_rate_and_distortion(pxyz, p_u, d1, table)[1]
+
+    lo, hi = 0.0, 4.0 / d1.max()
+    q, best, dist = ba(hi, np.full((len(a), n_hat), 1.0 / n_hat))
+    while dist > d1_target:
+        lo, hi = hi, 4.0 * hi
+        q, best, dist = ba(hi, q)
+    for _ in range(50):
+        lam = 0.5 * (lo + hi)
+        q, table, dist = ba(lam, q)
+        if dist <= d1_target:
+            hi, best = lam, table
+        else:
+            lo = lam
+    return best
+
+
+def _relay_rate_and_distortion(pxyz, p_u, d1, channel):
+    """(I(X; Xhat1 | U, Y), E d1) of a relay channel p(xhat1|x,y,u)."""
+    joint = (pxyz.sum(axis=2)[:, :, None] * p_u)[..., None] * channel
+    return cmi(joint, (0,), (3,), (1, 2)), float(np.einsum("xyuh,xh->", joint, d1))
+
+
+def test_relay_solve_meets_the_target_below_the_bisection():
+    # the inputs, bisection settings included, are those the speculative
+    # bisection tree was once checked on
     rng = np.random.default_rng(82)
-    exits = []
+    exits, slow = [], 0
     for trial in range(240):
         pxyz, d1, _ = _random_source_tables(rng)
         nx, ny, _ = pxyz.shape
@@ -722,16 +776,75 @@ def test_speculative_bisection_matches_the_sequential_one_bit_for_bit():
         kind = trial % 10
         target = (d_floor - 0.01 if kind == 0 else d_zero + 0.01 if kind == 1
                   else d_floor + rng.random() * (d_zero - d_floor))
-        # full-length solves are slow in the reference; most runs are short
+        # full-length bisections are slow; most reference runs are short
         kw = {} if trial % 8 == 2 else {"bisect_iters": int(rng.integers(1, 14))}
         if trial % 7 == 3:
-            kw["ba_iters"] = int(rng.integers(1, 8))  # members that never converge
+            kw["ba_iters"] = int(rng.integers(1, 8))  # runs that never converge
         want, how = _sequential_rd_solve(pxyz, p_u, d1, n_hat, target, **kw)
-        got = _xhat1_rd_solve(pxyz, p_u, d1, target, **kw)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        got = _xhat1_rd_solve(pxyz, p_u, d1, target)
         exits.append(how)
+        if isinstance(how, str):  # the zero-rate and floor exits are unchanged
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            continue
+        r1, dist = _relay_rate_and_distortion(pxyz, p_u, d1, got)
+        assert dist <= target + 1e-12 * d1.max(), trial
+        r1_want, dist_want = _relay_rate_and_distortion(pxyz, p_u, d1, want)
+        if dist_want <= target:
+            assert r1 <= r1_want + 1e-9, trial
+        if trial % 5 == 4 and slow < 24:
+            r1_slow, _ = _relay_rate_and_distortion(
+                pxyz, p_u, d1, _slow_rd_solve(pxyz, p_u, d1, target))
+            assert r1 == pytest.approx(r1_slow, abs=1e-9), trial
+            slow += 1
     assert exits.count("zero") >= 10 and exits.count("floor") >= 10
     assert sum(1 for e in exits if not isinstance(e, str) and e > 0) >= 10
+    assert slow == 24
+
+
+def test_relay_solve_meets_a_target_that_needs_a_steep_slope():
+    # d1 rows of very different size: at the slope this target needs,
+    # 2^(-lam d1) underflows on the second row, which once fell back to the
+    # uniform channel and returned E d1 = 50.25 above the target
+    pxyz = np.full((2, 1, 1), 0.5)
+    p_u = np.ones((2, 1, 1))
+    d1 = np.array([[0.0, 1.0], [101.0, 100.0]])
+    for shortfall in (1e-3, 1e-4, 1e-6):
+        got = _xhat1_rd_solve(pxyz, p_u, d1, 50.0 + shortfall)
+        r1, dist = _relay_rate_and_distortion(pxyz, p_u, d1, got)
+        assert dist <= 50.0 + shortfall + 1e-12 * d1.max()  # an ulp of 50, not 0.25
+        # binary-uniform rate-distortion on the excess over each row's floor
+        assert r1 == pytest.approx(1.0 - h2(shortfall), abs=1e-11)
+
+
+def test_relay_solve_time_shares_across_a_linear_piece():
+    # with the middle symbol, D(lam) jumps from about 0.305 to 0.245 at one
+    # slope, so R(D) is a line between them: a single slope's channel lands
+    # on an end of it (a converged bisection returns r1 = 0.1675 at
+    # E d1 = 0.245 for every target here), while time-sharing the two ends
+    # follows the line
+    pxyz = np.array([0.6, 0.4])[:, None, None] * np.ones((1, 1, 1))
+    p_u = np.ones((2, 1, 1))
+    d1 = np.array([[0.0, 0.5, 1.0], [1.0, 0.25, 0.0]])
+    r1s = []
+    for target in (0.26, 0.27, 0.28, 0.29):
+        r1, dist = _relay_rate_and_distortion(pxyz, p_u, d1,
+                                              _xhat1_rd_solve(pxyz, p_u, d1, target))
+        assert dist <= target + 1e-12 * d1.max()
+        r1s.append(r1)
+    assert r1s[0] < 0.1675 - 0.02
+    assert np.abs(np.diff(r1s, 2)).max() <= 1e-9  # on one line
+
+
+@pytest.mark.parametrize("d", [0.02, 0.05, 0.08, 0.11, 0.14, 0.17, 0.19])
+def test_relay_solve_matches_the_dsbs_closed_form(d):
+    y_given_x = np.array([[0.8, 0.2], [0.2, 0.8]])
+    z_given_y = np.array([[0.7, 0.3], [0.3, 0.7]])
+    pxyz = 0.5 * y_given_x[:, :, None] * z_given_y[None, :, :]
+    p_u = np.ones((2, 2, 1))  # U constant: r1 is I(X; Xhat1 | Y)
+    r1, dist = _relay_rate_and_distortion(pxyz, p_u, HAMMING,
+                                          _xhat1_rd_solve(pxyz, p_u, HAMMING, d))
+    assert dist <= d
+    assert r1 == pytest.approx(h2(0.2) - h2(d), abs=1e-11)
 
 
 def test_zero_rate_map_matches_the_loop_that_built_it():

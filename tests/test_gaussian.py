@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -322,10 +323,10 @@ def _layer_ratio(rng, i):
 
 
 def test_chain_distortion_is_the_closed_form_mmse():
-    # The Schur complement of the explicit covariance is the reference. Its
-    # own rounding cancels terms of size var_z (3e-7 relative at x/s = 1e-6),
-    # hence its absolute floor; against the layer target x the closed form
-    # holds to 4 ulp over the whole range.
+    # The Schur complement of the explicit covariance is the reference. The
+    # stored entry vz + q rounds q by up to half an ulp of vz (1.3e-9 of x at
+    # x/s = 1e-6), hence its absolute floor; against the layer target x the
+    # closed form holds to 4 ulp over the whole range.
     rng = np.random.default_rng(59)
     for i in range(1000):
         va, vb, vz = 10.0 ** rng.uniform(-1, 1, size=3)
@@ -341,6 +342,24 @@ def test_chain_distortion_is_the_closed_form_mmse():
         assert _chain_distortion(src, math.inf) == s
         ref_inf = conditional_variance(np.array([[vz, vz], [vz, vb + vz]]), 0, [1])
         assert s == pytest.approx(ref_inf, rel=1e-12)
+
+
+def test_conditional_variance_is_exact_for_the_matrix_it_is_given():
+    # the instances above: Var(Z | B + Z, Z + W) is 1/(1/vz + 1/vb + 1/q) for
+    # the variances the stored matrix holds, vb = cov[1,1] - vz and
+    # q = cov[2,2] - vz taken exactly; the old Schur complement through a
+    # pseudo-inverse missed it by up to 9e-8 relative at x/s = 1e-6
+    rng = np.random.default_rng(59)
+    for i in range(1000):
+        va, vb, vz = 10.0 ** rng.uniform(-1, 1, size=3)
+        s = GaussianCascadeSource(va, vb, vz).var_z_given_y
+        x = s * _layer_ratio(rng, i)
+        cov = np.array([[vz, vz, vz], [vz, vb + vz, vz], [vz, vz, vz + q_map(x, s)]])
+        held = [Fraction(float(cov[k, k])) - Fraction(vz) for k in (1, 2)]
+        closed = 1 / (1 / Fraction(vz) + 1 / held[0] + 1 / held[1])
+        got = conditional_variance(cov, 0, [1, 2])
+        assert abs(Fraction(got) - closed) <= 1e-12 * closed, (i, got, float(closed))
+        assert got == pytest.approx(x, rel=2e-9), i  # the rounding of vz + q
 
 
 def test_backward_distortions_hit_their_layer_targets():
