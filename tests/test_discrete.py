@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cascade_rd import discrete
 from cascade_rd.discrete import (
     _SETTINGS,
     AuxiliarySystem,
@@ -30,6 +31,7 @@ from cascade_rd.probability import (
     cmi,
     compose_markov_chain,
 )
+from test_golden_search import DSBS, bsc, dsbs_source, ternary_source
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -504,6 +506,104 @@ def test_search_not_dominated_by_oracle():
     res = min_r1_cascade_search(src, u_size=2, restarts=4, **query)
     ora = oracle_min_r1(src, u_size=2, resolution=5, **query)
     assert ora is None or res.r1 <= ora + 0.06  # documented slack at resolution 5
+
+
+BAD_SIZES = [(2, 0, "resolution"), (0, 5, "u_size"), (0, 1, "u_size"), (2, -1, "resolution")]
+
+
+@pytest.mark.parametrize("u_size, resolution, name", BAD_SIZES)
+@pytest.mark.parametrize("entry", ["oracle_min_r1", "brute_force_region_oracle"])
+def test_oracle_refuses_bad_sizes_by_name_and_keeps_no_table(monkeypatch, entry, u_size,
+                                                             resolution, name):
+    # resolution 0 gave None (oracle_min_r1) or NaN distortions (the frontier),
+    # u_size 0 a ZeroDivisionError, resolution -1 itertools' own message
+    monkeypatch.setattr(discrete, "_ORACLE_TABLE", None)
+    args = (dsbs_source(), u_size, resolution)
+    with pytest.raises(ValueError, match=name):
+        if entry == "oracle_min_r1":
+            oracle_min_r1(*args, 0.1, 0.3, 0.4)
+        else:
+            brute_force_region_oracle(*args)
+    assert discrete._ORACLE_TABLE is None
+
+
+def test_oracle_table_cap_names_points_and_bytes_and_keeps_the_old_table():
+    src = dsbs_source()
+    kept = discrete._oracle_table(src, 2, 5)
+    # 55 lattice rows per (x, y) cell, 55^4 channels, 5 points per channel
+    with pytest.raises(ResourceLimitError, match=r"45753125 points \(1464100000 bytes\)"):
+        oracle_min_r1(src, 3, 9, 0.1, 0.3, 0.4)
+    assert discrete._oracle_table(src, 2, 5) is kept
+
+
+@pytest.mark.parametrize("source, u_size, resolution", [
+    (dsbs_source, 1, 3), (dsbs_source, 2, 1), (dsbs_source, 2, 3), (dsbs_source, 3, 2),
+    (ternary_source, 2, 1), (ternary_source, 2, 3)])
+def test_oracle_table_is_the_enumeration_in_order(source, u_size, resolution):
+    src = source()
+    want = np.concatenate(list(discrete._enumerate_oracle_points(src, u_size, resolution)))
+    got = discrete._oracle_table(src, u_size, resolution)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_oracle_table_is_kept_read_only():
+    table = discrete._oracle_table(dsbs_source(), 2, 5)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+    assert discrete._oracle_table(dsbs_source(), 2, 5) is table
+
+
+def test_oracle_sources_that_differ_only_in_d2_get_their_own_answers(monkeypatch):
+    query = (0.1, 0.2, 0.4)
+    base = dsbs_source()
+    other = SourceSpec(base.pmf, HAMMING, 0.5 * HAMMING)
+    monkeypatch.setattr(discrete, "_ORACLE_TABLE", None)
+    want_base = oracle_min_r1(base, 2, 5, *query)
+    monkeypatch.setattr(discrete, "_ORACLE_TABLE", None)
+    want_other = oracle_min_r1(other, 2, 5, *query)
+    assert want_base != want_other
+    for _ in range(2):
+        assert oracle_min_r1(base, 2, 5, *query) == want_base
+        assert oracle_min_r1(other, 2, 5, *query) == want_other
+
+
+def test_oracle_answers_for_the_pmf_content_after_an_in_place_change():
+    query = (0.1, 0.3, 0.4)
+    new = 0.5 * bsc(0.1)[:, :, None] * bsc(0.3)[None, :, :]
+    want = oracle_min_r1(SourceSpec(JointPMF(new.copy()), HAMMING, HAMMING), 2, 5, *query)
+    src = dsbs_source()
+    before = oracle_min_r1(src, 2, 5, *query)  # the kept table is now src's
+    assert want != before
+    src.pmf.probs[...] = new
+    assert oracle_min_r1(src, 2, 5, *query) == want
+
+
+def test_reloaded_source_reuses_the_oracle_table(monkeypatch):
+    calls = []
+    enumerate_points = discrete._enumerate_oracle_points
+
+    def counted(*args):
+        calls.append(args[1:])
+        return enumerate_points(*args)
+
+    monkeypatch.setattr(discrete, "_ORACLE_TABLE", None)
+    monkeypatch.setattr(discrete, "_enumerate_oracle_points", counted)
+    src = dsbs_source()
+    oracle_min_r1(src, 2, 5, *sorted(DSBS)[0])
+    reloaded = load_source_spec(save_source_spec(src))
+    for query in sorted(DSBS):
+        assert oracle_min_r1(reloaded, 2, 5, *query).hex() == DSBS[query][-1]
+    assert calls == [(2, 5)]
+
+
+def test_dsbs_oracle_pins_hold_from_a_cold_and_a_warm_table(monkeypatch):
+    src = dsbs_source()
+    for query, pins in sorted(DSBS.items()):
+        monkeypatch.setattr(discrete, "_ORACLE_TABLE", None)
+        assert oracle_min_r1(src, 2, 5, *query).hex() == pins[-1]
+    for query, pins in sorted(DSBS.items()):
+        assert oracle_min_r1(src, 2, 5, *query).hex() == pins[-1]
 
 
 # --------------------------------------------------------------- serialization
