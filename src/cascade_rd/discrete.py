@@ -49,7 +49,8 @@ class SourceSpec:
     """Markov source p(x,y,z) with its distortion tables.
 
     d1[x, xhat1] scores the relay reconstruction, d2[x, xhat2] the terminal
-    one, d3[z, zhat] (optional) the backward reconstruction of Z.
+    one, d3[z, zhat] (optional) the backward reconstruction of Z. The
+    tables are read-only copies of the arrays passed in.
     """
 
     pmf: JointPMF
@@ -68,11 +69,12 @@ class SourceSpec:
         for name, rows in (("d1", self.nx), ("d2", self.nx), ("d3", self.nz)):
             if name == "d3" and self.d3 is None:  # the one optional table
                 continue
-            t = np.asarray(getattr(self, name), dtype=np.float64)
+            t = np.array(getattr(self, name), dtype=np.float64)
             if t.ndim != 2 or t.shape[0] != rows:
                 raise ValueError(f"{name} must be a ({rows}, n_hat) table")
             if not np.isfinite(t).all() or (t < 0).any():
                 raise ValueError(f"{name} entries must be finite and nonnegative")
+            t.flags.writeable = False
             object.__setattr__(self, name, t)
 
     @property
@@ -93,8 +95,8 @@ class AuxiliarySystem:
     """Container for the conditional channels and reconstruction maps.
 
     Which fields are read, and the conditioning each table must carry, depends
-    on the setting; every evaluator documents its expectation. Conditioning
-    inputs are always ordered like the joint axes (X, Y, Z, then auxiliaries).
+    on the setting; `_SETTINGS` states both for each one. Conditioning inputs
+    are always ordered like the joint axes (X, Y, Z, then auxiliaries).
     """
 
     p_u: CondPMF | None = None
@@ -130,6 +132,11 @@ class RegionPoint:
 #   rates    bound -> "A | B | C" for I(A; B | C)
 #   dists    distortion -> "source reconstruction", the latter an axis or a map
 #   budgets  auxiliary axis -> its cardinality bound, given the axis sizes
+# Triangular adds the refinement V that only the terminal node decodes. The
+# two-way settings add the backward description U2 of Z, whose rate bound is
+# the last rate (r3, or r4 with V) and whose reconstruction zhat = g3 scores
+# d3. Helper is triangular with a rate-limited observer of Y sending Uh (rate
+# rh); its refinement for the terminal node rides in p_v, as p(u2|x,y,uh,u1).
 
 
 class _Setting:
@@ -145,7 +152,7 @@ class _Setting:
         self.factors = {f: a.split() for f, a in factors.items()}
         self.maps = {g: a.split() for g, a in maps.items()}
         self.factor_axes = ((0, 1, 2),) + tuple(idx(a) for a in factors.values())
-        self.rates = [(r, *map(idx, spec.split("|"))) for r, spec in rates.items()]
+        self.rates = {r: tuple(map(idx, spec.split("|"))) for r, spec in rates.items()}
         self.dists = {d: spec.split() for d, spec in dists.items()}
         self.terms = []  # (distortion, marginal axes, reconstruction, perm, post)
         for d, (source, recon) in self.dists.items():
@@ -173,7 +180,7 @@ class _Setting:
         """
         joint = self.joint(tables)
         batched = joint.ndim > self.ndim
-        out = {r: _cmi(joint, a, b, c, batched) for r, a, b, c in self.rates}
+        out = {r: _cmi(joint, *axes, batched) for r, axes in self.rates.items()}
         for d, keep, recon, perm, post in self.terms:
             if perm is None:
                 sel = dists[d][:, : joint.shape[recon + batched]]
@@ -269,51 +276,6 @@ def evaluate_point(setting: str, src: SourceSpec, aux: AuxiliarySystem) -> Regio
     return RegionPoint(**s.evaluate(tables, maps, dists))
 
 
-# -------------------------------------------------------------- point evaluators
-
-
-def eval_cascade_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
-    """Rates and distortions of a fixed cascade auxiliary.
-
-    Needs p_u = p(u|x,y), p_xhat1 = p(xhat1|x,y,u), g2 on (U, Z). Returns
-    R1 = I(X; Xhat1, U | Y), R2 = I(U; X, Y | Z) and both expected
-    distortions with xhat2 = g2(u, z).
-    """
-    return evaluate_point("cascade", src, aux)
-
-
-def eval_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
-    """Adds the refinement description V: p_v = p(v|x,y,u), g2 on (U, V, Z)."""
-    return evaluate_point("triangular", src, aux)
-
-
-def eval_two_way_cascade_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
-    """Adds the backward description: p_u2 = p(u2|z,u1), g3 on (U1, U2, X, Y).
-
-    The returned r3 is the backward-rate bound I(U2; Z | U1, X, Y); d3 is the
-    expected backward distortion with zhat = g3(u1, u2, x, y).
-    """
-    return evaluate_point("two-way-cascade", src, aux)
-
-
-def eval_two_way_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
-    """Union of the triangular and two-way requirements.
-
-    p_u2 = p(u2|z,u1,v); g2 on (U1, V, Z); g3 on (U1, U2, V, X, Y).
-    """
-    return evaluate_point("two-way-triangular", src, aux)
-
-
-def eval_helper_triangular_point(src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
-    """Triangular setting with a rate-limited observer of Y.
-
-    p_uh = p(uh|y); p_u = p(u1|x,y,uh); p_xhat1 = p(xhat1|x,y,uh,u1); the
-    forward refinement intended for the terminal node rides in p_v as
-    p(u2|x,y,uh,u1); g2 on (U1, U2, Uh, Z). Returns (r1, r2, r3, rh).
-    """
-    return evaluate_point("helper", src, aux)
-
-
 # ------------------------------------------------------------- cascade search
 
 
@@ -328,7 +290,7 @@ def _g2_best_response(pxyz, p_u, d2):
 
     A stack of p_u tables gives a stack of maps.
     """
-    m_xzu = _joint(4, (pxyz, (0, 1, 2)), (p_u, (0, 1, 3))).sum(axis=-3)  # (X, Z, U)
+    m_xzu = _marginal(_CASCADE.joint((pxyz, p_u)), (0, 2, 3), p_u.ndim > 3)
     cost = np.einsum("...xzu,xh->...uzh", m_xzu, d2)
     return np.argmin(cost, axis=-1)  # (U, Z)
 
@@ -536,8 +498,7 @@ def _blend_to_rate(pxyz, p_u, cap):
 
     def rate(t):
         mixed = (1.0 - t) * p_u + t * marg[None, None, :]
-        joint = _joint(4, (pxyz, (0, 1, 2)), (mixed, (0, 1, 3)))
-        return _cmi(joint, (3,), (0, 1), (2,)), mixed
+        return _cmi(_CASCADE.joint((pxyz, mixed)), *_CASCADE.rates["r2"]), mixed
 
     r0, _ = rate(0.0)
     if r0 <= cap + 1e-9:
@@ -816,8 +777,8 @@ def oracle_min_r1(src: SourceSpec, u_size: int, resolution: int,
 
     The points are the rows of one table, built on the first query and kept
     for the next ones: only the most recent table is kept, keyed on the
-    bytes and shapes of src.pmf.probs, src.d1 and src.d2 (never on the
-    object, whose arrays can change in place) and on u_size and resolution.
+    bytes and shapes of src.pmf.probs, src.d1 and src.d2 and on u_size and
+    resolution, so a source read back from its file reuses it.
     It holds at most _MAX_ORACLE_POINTS rows of 32 bytes (32 MiB); the
     doubly symmetric source at |U| = 2, resolution 5 has 6480 (207 KB).
     """
@@ -904,7 +865,7 @@ def _enumerate_oracle_points(src: SourceSpec, u_size: int, resolution: int):
         # the cascade joint without its relay factor, whose axis then has size
         # 1: r1 is I(X; U | Y), the rate with the zero-rate reconstruction
         joint_u = _CASCADE.joint((pxyz, p_u))
-        rates = {r: _cmi(joint_u, a, b, c, True) for r, a, b, c in _CASCADE.rates}
+        rates = {r: _cmi(joint_u, *axes, True) for r, axes in _CASCADE.rates.items()}
         r1_base, r2 = rates["r1"], rates["r2"]
         g2 = _g2_best_response(pxyz, p_u, src.d2)  # (B, U, Z)
         m_xzu = _marginal(joint_u, (0, 2, 3), True)

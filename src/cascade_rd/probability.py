@@ -45,14 +45,14 @@ class JointPMF:
 
     probs[i1, ..., ik] = P(X1=i1, ..., Xk=ik). Entries must be finite,
     nonnegative and sum to 1 within 1e-12; arity and sizes are fixed at
-    construction.
+    construction, and probs is a read-only copy of the array passed in.
     """
 
     probs: np.ndarray
     sizes: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
+        probs = np.array(self.probs, dtype=np.float64)
         sizes = _check_sizes(probs.shape)
         if not np.isfinite(probs).all():
             raise ValueError("pmf entries must be finite")
@@ -61,6 +61,7 @@ class JointPMF:
         total = float(probs.sum())
         if abs(total - 1.0) > NORMALIZATION_TOL:
             raise ValueError(f"pmf entries sum to {total!r}, not 1")
+        probs.flags.writeable = False
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "sizes", sizes)
 
@@ -85,13 +86,14 @@ class CondPMF:
     """Conditional pmf table: one output distribution per input tuple.
 
     table[i1, ..., ik, j] = P(out=j | in=(i1, ..., ik)); entries are finite and
-    nonnegative, and every row sums to 1 within 1e-12.
+    nonnegative, and every row sums to 1 within 1e-12. The table is a
+    read-only copy of the array passed in.
     """
 
     table: np.ndarray
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.float64)
+        table = np.array(self.table, dtype=np.float64)
         if table.ndim < 2:
             raise ValueError("conditional table needs input axes plus an output axis")
         _check_sizes(table.shape)
@@ -103,6 +105,7 @@ class CondPMF:
         if np.any(np.abs(rows - 1.0) > NORMALIZATION_TOL):
             worst = float(np.abs(rows - 1.0).max())
             raise ValueError(f"conditional rows must sum to 1 (max deviation {worst:g})")
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property
@@ -123,18 +126,19 @@ class CondPMF:
 
 @dataclass(frozen=True)
 class DeterministicMap:
-    """Total function from an input grid to an output index."""
+    """Total function from an input grid to an output index (a read-only table)."""
 
     table: np.ndarray
     output_size: int
 
     def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.int64)
+        table = np.array(self.table, dtype=np.int64)
         _check_sizes(table.shape)
         if self.output_size < 1:
             raise ValueError("output size must be positive")
         if np.any(table < 0) or np.any(table >= self.output_size):
             raise ValueError("map values must lie in [0, output_size)")
+        table.flags.writeable = False
         object.__setattr__(self, "table", table)
 
     @property

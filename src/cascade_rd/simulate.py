@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .discrete import _CASCADE, AuxiliarySystem, SourceSpec
+from .discrete import _CASCADE, AuxiliarySystem, SourceSpec, evaluate_point
 from .errors import ResourceLimitError
 from .probability import DeterministicMap
 from .probability import cmi as _cmi, marginal as _marginal
@@ -90,8 +90,8 @@ class CascadeCode:
 
 
 def _draw_symbols(rng: np.random.Generator, p: np.ndarray,
-                  shape: tuple[int, int]) -> np.ndarray:
-    """The draw of `rng.choice(p.size, size=shape, p=p)`, in the smallest dtype.
+                  shape: tuple[int, ...]) -> np.ndarray:
+    """The symbols `Generator.choice(p.size, size=shape, p=p)` draws, in the smallest dtype.
 
     choice searches the normalised cdf for each uniform; counting the cdf
     thresholds at or below each uniform gives the same symbols and consumes
@@ -116,20 +116,19 @@ def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
 
     Rates come from the auxiliary's mutual informations plus the slack:
     R_l = I(U;X,Y)+delta, R_10 = I(U;X|Y)+2 delta, R_11 = I(Xhat1;X|U,Y)+delta,
-    R_2 = I(U;X,Y|Z)+2 delta. Every 2^ceil(nR) is capped at 2^20.
+    R_2 = I(U;X,Y|Z)+2 delta. Every 2^ceil(nR) is capped at 2^20. An
+    auxiliary that `evaluate_point` refuses for the cascade is refused.
     """
     if delta < 0:
         raise ValueError("rate slack delta must be nonnegative")
-    for name in (*_CASCADE.factors, *_CASCADE.maps):
-        if getattr(aux, name) is None:
-            raise ValueError(f"auxiliary system is missing {name}")
+    point = evaluate_point("cascade", src, aux)
     # axes (X, Y, Z, U, Xhat1)
     joint = _CASCADE.joint((src.pmf.probs, aux.p_u.table, aux.p_xhat1.table))
     nx, ny, nz, nu, nh = joint.shape
     rate_l = _cmi(joint, (3,), (0, 1)) + delta
     rate_10 = _cmi(joint, (3,), (0,), (1,)) + 2 * delta
     rate_11 = _cmi(joint, (4,), (0,), (3, 1)) + delta
-    rate_2 = _cmi(joint, (3,), (0, 1), (2,)) + 2 * delta
+    rate_2 = point.r2 + 2 * delta
 
     n = tp.n
     for label, rate in (("2^(n R_l)", rate_l), ("2^(n R_10)", rate_10),
@@ -336,7 +335,7 @@ def run_simulation(src: SourceSpec, aux: AuxiliarySystem, tp: TypicalityParams,
         rng = np.random.default_rng(
             np.random.SeedSequence(entropy=seed, spawn_key=(1, t))
         )
-        flat = rng.choice(pxyz_flat.size, size=n, p=pxyz_flat)
+        flat = _draw_symbols(rng, pxyz_flat, (n,))
         x_seq, y_seq, z_seq = np.unravel_index(flat, src.pmf.probs.shape)
         x_seq = x_seq.astype(np.int64)
         y_seq = y_seq.astype(np.int64)

@@ -13,10 +13,7 @@ from cascade_rd.discrete import (
     ORACLE_SLACK_BITS,
     AuxiliarySystem,
     SourceSpec,
-    eval_cascade_point,
-    eval_triangular_point,
-    eval_two_way_cascade_point,
-    eval_two_way_triangular_point,
+    evaluate_point,
     min_r1_cascade_search,
     oracle_min_r1,
 )
@@ -115,11 +112,12 @@ def test_criterion_3_reduction_lattice():
         p_u2 = rand_cond(rng, (2, nu), 2)
         g2 = DeterministicMap(rng.integers(0, 2, size=(nu, 2)), 2)
         g3 = DeterministicMap(rng.integers(0, 2, size=(nu, 2, 2, 2)), 2)
-        twc_pt = eval_two_way_cascade_point(
-            src, AuxiliarySystem(p_u=p_u, p_xhat1=p_xhat1, p_u2=p_u2, g2=g2, g3=g3)
+        twc_pt = evaluate_point(
+            "two-way-cascade", src,
+            AuxiliarySystem(p_u=p_u, p_xhat1=p_xhat1, p_u2=p_u2, g2=g2, g3=g3),
         )
-        twt_pt = eval_two_way_triangular_point(
-            src,
+        twt_pt = evaluate_point(
+            "two-way-triangular", src,
             AuxiliarySystem(
                 p_u=p_u, p_xhat1=p_xhat1,
                 p_v=CondPMF(np.ones((2, 2, nu, 1))),
@@ -140,11 +138,11 @@ def test_criterion_3_reduction_lattice():
         p_xhat1 = rand_cond(rng, (2, 2, nu), 2)
         p_v = rand_cond(rng, (2, 2, nu), nv)
         g2 = DeterministicMap(rng.integers(0, 2, size=(nu, nv, 2)), 2)
-        tri_pt = eval_triangular_point(
-            src, AuxiliarySystem(p_u=p_u, p_xhat1=p_xhat1, p_v=p_v, g2=g2)
+        tri_pt = evaluate_point(
+            "triangular", src, AuxiliarySystem(p_u=p_u, p_xhat1=p_xhat1, p_v=p_v, g2=g2)
         )
-        twt_pt = eval_two_way_triangular_point(
-            src,
+        twt_pt = evaluate_point(
+            "two-way-triangular", src,
             AuxiliarySystem(
                 p_u=p_u, p_xhat1=p_xhat1, p_v=p_v,
                 p_u2=CondPMF(np.ones((2, nu, nv, 1))),
@@ -345,7 +343,7 @@ def test_criterion_8_simulator_trend():
 
     final = results[20]
     assert final.clean_trials >= 0.3 * trials  # the scheme genuinely works
-    point = eval_cascade_point(src, aux)
+    point = evaluate_point("cascade", src, aux)
     assert final.d2_mean_clean <= point.d2 + eps * 1.0 + final.d2_ci_clean
     print(f"\nACCEPTANCE 8 PASS ({elapsed:.1f}s, "
           f"E1={[round(results[n].event_rates()[1], 3) for n in (8, 12, 16, 20)]}, "

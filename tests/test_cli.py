@@ -20,6 +20,7 @@ from cascade_rd.discrete import (
 from cascade_rd.probability import CondPMF, DeterministicMap, JointPMF
 from test_golden_points import instance
 from test_golden_search import dsbs_source
+from test_simulate import y_blind_aux
 
 
 @pytest.fixture
@@ -294,6 +295,19 @@ def test_simulate_refuses_counts_below_one_by_name(tmp_path, ident_files, flag):
     row = dict(zip(header, row))
     assert (row["status"], row["detail"]) == ("error",
                                               f"ValueError: {flag} must be at least 1, got 0")
+
+
+def test_simulate_refuses_an_auxiliary_of_the_wrong_shape_by_name(tmp_path):
+    src, aux, out = tmp_path / "src.txt", tmp_path / "aux.txt", tmp_path / "r.csv"
+    src.write_text(save_source_spec(dsbs_source()))
+    aux.write_text(save_aux(y_blind_aux()))
+    argv = ["simulate", "--source", str(src), "--aux", str(aux), "--n", "8",
+            "--epsilon", "0.4", "--trials", "2", "--out", str(out)]
+    assert main(argv) == 1
+    header, row = _csv_rows(out)
+    row = dict(zip(header, row))
+    assert (row["status"], row["detail"]) == (
+        "error", "ValueError: p_u conditioning has shape (2, 1), expected (2, 2)")
 
 
 def test_integer_flag_sweep_gives_ok_rows(tmp_path, ident_files):

@@ -11,11 +11,7 @@ from cascade_rd.discrete import (
     _xhat1_rd_solve,
     _xhat1_zero_rate,
     brute_force_region_oracle,
-    eval_cascade_point,
-    eval_helper_triangular_point,
-    eval_triangular_point,
-    eval_two_way_cascade_point,
-    eval_two_way_triangular_point,
+    evaluate_point,
     load_aux,
     load_source_spec,
     min_r1_cascade_search,
@@ -112,7 +108,7 @@ def test_cascade_identity_channels():
         p_xhat1=CondPMF(pxh),
         g2=DeterministicMap(np.array([[0], [1]]), 2),
     )
-    pt = eval_cascade_point(src, aux)
+    pt = evaluate_point("cascade", src, aux)
     assert pt.r1 == pytest.approx(0.0, abs=1e-12)  # Y carries X already
     assert pt.r2 == pytest.approx(1.0, abs=1e-12)
     assert pt.d1 == pytest.approx(0.0, abs=1e-15)
@@ -126,7 +122,7 @@ def test_cascade_uninformative_aux():
         p_xhat1=CondPMF(np.full((2, 2, 2, 2), 0.5)),
         g2=DeterministicMap(np.zeros((2, 1), dtype=int), 2),
     )
-    pt = eval_cascade_point(src, aux)
+    pt = evaluate_point("cascade", src, aux)
     assert pt.r1 == pytest.approx(0.0, abs=1e-12)
     assert pt.r2 == pytest.approx(0.0, abs=1e-12)
     assert pt.d2 == pytest.approx(0.5, abs=1e-12)  # best constant guess
@@ -137,7 +133,7 @@ def test_cascade_matches_direct_definition():
     for _ in range(5):
         src = binary_markov_source(rng)
         aux = random_cascade_aux(rng)
-        pt = eval_cascade_point(src, aux)
+        pt = evaluate_point("cascade", src, aux)
         joint = (
             src.pmf.probs[:, :, :, None, None]
             * aux.p_u.table[:, :, None, :, None]
@@ -162,7 +158,7 @@ def test_cascade_data_processing_identity():
     for _ in range(10):
         src = binary_markov_source(rng)
         aux = random_cascade_aux(rng)
-        pt = eval_cascade_point(src, aux)
+        pt = evaluate_point("cascade", src, aux)
         joint = JointPMF(
             src.pmf.probs[:, :, :, None] * aux.p_u.table[:, :, None, :]
         )
@@ -186,7 +182,7 @@ def test_cascade_budget_enforced():
     src = binary_markov_source(rng)
     aux = random_cascade_aux(rng, nu=8)  # budget for binary is |X||Y|+3 = 7
     with pytest.raises(ValueError):
-        eval_cascade_point(src, aux)
+        evaluate_point("cascade", src, aux)
 
 
 def test_triangular_constant_and_copy_v():
@@ -201,8 +197,8 @@ def test_triangular_constant_and_copy_v():
         p_v=CondPMF(np.ones((2, 2, nu, 1))),
         g2=DeterministicMap(base.g2.table[:, None, :], 2),
     )
-    tri = eval_triangular_point(src, aux_const)
-    cas = eval_cascade_point(src, base)
+    tri = evaluate_point("triangular", src, aux_const)
+    cas = evaluate_point("cascade", src, base)
     assert tri.r3 == 0.0
     assert (tri.r1, tri.r2, tri.d1, tri.d2) == (cas.r1, cas.r2, cas.d1, cas.d2)
     # V = copy of U: conditionally deterministic given U, so r3 = 0
@@ -215,7 +211,7 @@ def test_triangular_constant_and_copy_v():
         p_v=CondPMF(copy_table),
         g2=DeterministicMap(np.repeat(base.g2.table[:, None, :], nu, axis=1), 2),
     )
-    assert eval_triangular_point(src, aux_copy).r3 == pytest.approx(0.0, abs=1e-12)
+    assert evaluate_point("triangular", src, aux_copy).r3 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_two_way_cascade_constant_u2():
@@ -230,7 +226,7 @@ def test_two_way_cascade_constant_u2():
         g2=base.g2,
         g3=DeterministicMap(rng.integers(0, 2, size=(nu, 1, 2, 2)), 2),
     )
-    pt = eval_two_way_cascade_point(src, aux)
+    pt = evaluate_point("two-way-cascade", src, aux)
     assert pt.r3 == 0.0
     assert pt.d3 is not None and pt.d3 >= 0.0
 
@@ -251,7 +247,7 @@ def test_two_way_cascade_y_equals_x_wyner_ziv_structure():
         g2=DeterministicMap(rng.integers(0, 2, size=(nu, 2)), 2),
         g3=DeterministicMap(rng.integers(0, 2, size=(nu, 2, 2, 2)), 2),
     )
-    pt = eval_two_way_cascade_point(src, aux)
+    pt = evaluate_point("two-way-cascade", src, aux)
     joint = (
         src.pmf.probs[:, :, :, None, None]
         * aux.p_u.table[:, :, None, :, None]
@@ -275,13 +271,13 @@ def test_reduction_lattice_exact():
         g3_cas = DeterministicMap(rng.integers(0, 2, size=(nu, 2, 2, 2)), 2)
 
         # two-way triangular evaluator with constant V equals the two-way cascade one
-        twc_pt = eval_two_way_cascade_point(
-            src,
+        twc_pt = evaluate_point(
+            "two-way-cascade", src,
             AuxiliarySystem(p_u=p_u, p_xhat1=p_xhat1, p_u2=p_u2,
                             g2=g2_cas, g3=g3_cas),
         )
-        twt_const_v = eval_two_way_triangular_point(
-            src,
+        twt_const_v = evaluate_point(
+            "two-way-triangular", src,
             AuxiliarySystem(
                 p_u=p_u,
                 p_xhat1=p_xhat1,
@@ -300,11 +296,11 @@ def test_reduction_lattice_exact():
         )
 
         # two-way triangular evaluator with constant U2 equals the plain triangular one
-        tri_pt = eval_triangular_point(
-            src, AuxiliarySystem(p_u=p_u, p_xhat1=p_xhat1, p_v=p_v, g2=g2_tri)
+        tri_pt = evaluate_point(
+            "triangular", src, AuxiliarySystem(p_u=p_u, p_xhat1=p_xhat1, p_v=p_v, g2=g2_tri)
         )
-        twt_const_u2 = eval_two_way_triangular_point(
-            src,
+        twt_const_u2 = evaluate_point(
+            "two-way-triangular", src,
             AuxiliarySystem(
                 p_u=p_u,
                 p_xhat1=p_xhat1,
@@ -321,11 +317,11 @@ def test_reduction_lattice_exact():
         assert (twt_const_u2.d1, twt_const_u2.d2) == (tri_pt.d1, tri_pt.d2)
 
         # triangular with constant V equals plain cascade
-        cas_pt = eval_cascade_point(
-            src, AuxiliarySystem(p_u=p_u, p_xhat1=p_xhat1, g2=g2_cas)
+        cas_pt = evaluate_point(
+            "cascade", src, AuxiliarySystem(p_u=p_u, p_xhat1=p_xhat1, g2=g2_cas)
         )
-        tri_const_v = eval_triangular_point(
-            src,
+        tri_const_v = evaluate_point(
+            "triangular", src,
             AuxiliarySystem(
                 p_u=p_u,
                 p_xhat1=p_xhat1,
@@ -345,11 +341,11 @@ def test_helper_constant_uh_reduces_to_triangular():
     p_xhat1 = rand_cond(rng, (2, 2, nu), 2)
     p_v = rand_cond(rng, (2, 2, nu), nv)
     g2 = DeterministicMap(rng.integers(0, 2, size=(nu, nv, 2)), 2)
-    tri = eval_triangular_point(
-        src, AuxiliarySystem(p_u=p_u, p_xhat1=p_xhat1, p_v=p_v, g2=g2)
+    tri = evaluate_point(
+        "triangular", src, AuxiliarySystem(p_u=p_u, p_xhat1=p_xhat1, p_v=p_v, g2=g2)
     )
-    helper = eval_helper_triangular_point(
-        src,
+    helper = evaluate_point(
+        "helper", src,
         AuxiliarySystem(
             p_uh=CondPMF(np.ones((2, 1))),
             p_u=CondPMF(p_u.table[:, :, None, :]),
@@ -380,7 +376,7 @@ def test_helper_identity_uh_rate_is_source_entropy():
         p_v=rand_cond(rng, (2, 2, 2, nu), 2),
         g2=DeterministicMap(rng.integers(0, 2, size=(nu, 2, 2, 1)), 2),
     )
-    pt = eval_helper_triangular_point(src, aux)
+    pt = evaluate_point("helper", src, aux)
     py = src.pmf.marginal([1])
     h_y = float(-(py[py > 0] * np.log2(py[py > 0])).sum())
     assert pt.rh == pytest.approx(h_y, abs=1e-12)
@@ -402,7 +398,7 @@ def test_search_self_consistency():
     src = binary_markov_source(rng)
     res = min_r1_cascade_search(src, d1_target=0.2, d2_target=0.35,
                                 r2_budget=0.5, u_size=2, restarts=3)
-    pt = eval_cascade_point(src, res.aux)
+    pt = evaluate_point("cascade", src, res.aux)
     assert pt.r1 == pytest.approx(res.point.r1, abs=1e-9)
     assert pt.r2 == pytest.approx(res.point.r2, abs=1e-9)
     assert pt.d1 == pytest.approx(res.point.d1, abs=1e-9)
@@ -463,7 +459,7 @@ def test_search_answers_on_the_relay_floor(d1, d2, r2, restarts):
     # the conditional rate-distortion floor of the doubly symmetric source
     assert res.r1 == pytest.approx(h2(0.2) - h2(min(d1, d2)), abs=1e-6)
     assert res.path == "relay-floor"
-    pt = eval_cascade_point(src, res.aux)
+    pt = evaluate_point("cascade", src, res.aux)
     assert pt.r1 == pytest.approx(res.r1, abs=1e-12)
     assert pt.d1 <= d1 + 1e-9 and pt.d2 <= d2 + 1e-9 and pt.r2 <= r2 + 1e-9
 
@@ -568,15 +564,19 @@ def test_oracle_sources_that_differ_only_in_d2_get_their_own_answers(monkeypatch
         assert oracle_min_r1(other, 2, 5, *query) == want_other
 
 
-def test_oracle_answers_for_the_pmf_content_after_an_in_place_change():
-    query = (0.1, 0.3, 0.4)
-    new = 0.5 * bsc(0.1)[:, :, None] * bsc(0.3)[None, :, :]
-    want = oracle_min_r1(SourceSpec(JointPMF(new.copy()), HAMMING, HAMMING), 2, 5, *query)
-    src = dsbs_source()
-    before = oracle_min_r1(src, 2, 5, *query)  # the kept table is now src's
-    assert want != before
-    src.pmf.probs[...] = new
-    assert oracle_min_r1(src, 2, 5, *query) == want
+def test_value_types_own_read_only_copies_of_their_tables():
+    # writing into the arrays passed in cannot undo the checks made on them
+    probs, d1 = np.full((2, 2, 2), 0.125), HAMMING.copy()
+    src = SourceSpec(JointPMF(probs), d1, HAMMING)
+    p_u, g2 = np.full((2, 2, 2), 0.5), np.array([[0, 1], [1, 0]])
+    aux = AuxiliarySystem(p_u=CondPMF(p_u), g2=DeterministicMap(g2, 2))
+    probs[0, 0, 0], probs[1, 1, 1], d1[0, 1], p_u[0, 0, 0], g2[0, 0] = 5.0, -1.0, np.nan, 9.0, 7
+    assert src.pmf.probs.sum() == 1.0 and (src.pmf.probs >= 0).all()
+    assert np.array_equal(src.d1, HAMMING)
+    assert (aux.p_u.table == 0.5).all() and aux.g2.table[0, 0] == 0
+    for table in (src.pmf.probs, src.d1, src.d2, aux.p_u.table, aux.g2.table):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0
 
 
 def test_reloaded_source_reuses_the_oracle_table(monkeypatch):

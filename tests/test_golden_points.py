@@ -1,4 +1,4 @@
-"""The five discrete evaluators against pinned values, bit for bit.
+"""The five discrete settings of `evaluate_point` against pinned values, bit for bit.
 
 Each setting is evaluated on three fixed-seed instances with mixed alphabet
 sizes (constant auxiliaries included). The expected values are stored as
@@ -8,26 +8,12 @@ construction, the rate terms or the distortion terms shows up here.
 
 import numpy as np
 
-from cascade_rd.discrete import (
-    AuxiliarySystem,
-    SourceSpec,
-    eval_cascade_point,
-    eval_helper_triangular_point,
-    eval_triangular_point,
-    eval_two_way_cascade_point,
-    eval_two_way_triangular_point,
-)
+from cascade_rd.discrete import AuxiliarySystem, SourceSpec, evaluate_point
 from cascade_rd.probability import CondPMF, DeterministicMap, compose_markov_chain
 
 FIELDS = ("r1", "r2", "r3", "r4", "rh", "d1", "d2", "d3")
 
-EVALUATORS = {
-    "cascade": eval_cascade_point,
-    "triangular": eval_triangular_point,
-    "two-way-cascade": eval_two_way_cascade_point,
-    "two-way-triangular": eval_two_way_triangular_point,
-    "helper": eval_helper_triangular_point,
-}
+EVALUATORS = ("cascade", "triangular", "two-way-cascade", "two-way-triangular", "helper")
 
 
 def instance(setting, k):
@@ -131,4 +117,4 @@ def test_evaluators_reproduce_pinned_values_exactly():
     for setting, rows in GOLDEN.items():
         for k, expected in enumerate(rows):
             src, aux = instance(setting, k)
-            assert hex_point(EVALUATORS[setting](src, aux)) == expected, (setting, k)
+            assert hex_point(evaluate_point(setting, src, aux)) == expected, (setting, k)

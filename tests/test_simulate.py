@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cascade_rd._kernels import typical_mask
-from cascade_rd.discrete import AuxiliarySystem, SourceSpec, eval_cascade_point
+from cascade_rd.discrete import AuxiliarySystem, SourceSpec, evaluate_point
 from cascade_rd.errors import ResourceLimitError
 from cascade_rd.probability import CondPMF, DeterministicMap, JointPMF
 from cascade_rd.simulate import (
@@ -16,6 +16,7 @@ from cascade_rd.simulate import (
     relay_node1,
     run_simulation,
 )
+from test_golden_search import dsbs_source
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -36,6 +37,15 @@ def bsc_aux(q):
     pxh[:, :, 1, 1] = 1.0
     return AuxiliarySystem(p_u=CondPMF(pu), p_xhat1=CondPMF(pxh),
                            g2=DeterministicMap(np.array([[0], [1]]), 2))
+
+
+def y_blind_aux():
+    """A cascade auxiliary whose p_u and p_xhat1 are conditioned on (X, 1),
+    not (X, Y), for a binary Y: its tables broadcast over Y in a joint."""
+    pu = np.array([[[0.9, 0.1]], [[0.1, 0.9]]])
+    pxh = np.broadcast_to(np.eye(2), (2, 1, 2, 2))
+    return AuxiliarySystem(p_u=CondPMF(pu), p_xhat1=CondPMF(pxh),
+                           g2=DeterministicMap(np.array([[0, 0], [1, 1]]), 2))
 
 
 def const_aux():
@@ -264,9 +274,16 @@ def test_run_simulation_uninformative_aux():
     assert res.d2_mean == pytest.approx(0.5, abs=3 * max(res.d2_ci, 1e-3))
 
 
+def test_run_simulation_refuses_an_auxiliary_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"p_u conditioning has shape \(2, 1\), "
+                                         r"expected \(2, 2\)"):
+        run_simulation(dsbs_source(), y_blind_aux(), TypicalityParams(epsilon=0.4, n=8),
+                       delta=0.1, trials=2, seed=0)
+
+
 def test_clean_trial_distortion_obeys_typical_average_bound():
     src, aux = ident_source(), bsc_aux(0.25)
-    point = eval_cascade_point(src, aux)
+    point = evaluate_point("cascade", src, aux)
     eps = 0.5
     res = run_simulation(src, aux, TypicalityParams(epsilon=eps, n=16),
                          delta=0.15, trials=600, seed=0)
