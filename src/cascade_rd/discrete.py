@@ -24,9 +24,12 @@ of that core: the finite-difference gradient of one exponentiated-gradient
 step is one stack, and the oracle enumerates channels in bounded chunks into
 one table of points. That table depends only on the source, |U| and the
 resolution, so the most recent one is kept and each query is a mask and a
-min over it. Every answer is bit-identical to evaluating the tables one at
-a time. The relay solve (`_xhat1_rd_solve`) solves each slope to Blahut's
-bound by Newton steps and finds the slope by a bracketed regula falsi.
+min over it. Likewise the search keeps each source's constant-U anchor per
+(|U|, d1), and its floor garbling reads r2 from a form evaluated at many
+blend weights at once, deferring to `_cmi` near the bound. Every answer is
+bit-identical to evaluating the tables one at a time, from scratch. The
+relay solve (`_xhat1_rd_solve`) solves each slope to Blahut's bound by
+Newton steps and finds the slope by a bracketed regula falsi.
 """
 
 from __future__ import annotations
@@ -245,6 +248,12 @@ def _budget(limit: int, size: int, what: str) -> None:
         raise ValueError(f"|{what}| = {size} exceeds the cardinality budget {limit}")
 
 
+def _refuse_nan(**targets):
+    for name, value in targets.items():
+        if math.isnan(value):
+            raise ValueError(f"{name} must be a number, got {value}")
+
+
 def evaluate_point(setting: str, src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
     """Check `aux` against a setting of `_SETTINGS`, then evaluate it exactly."""
     if setting not in _SETTINGS:
@@ -285,12 +294,14 @@ def _cascade_quantities(pxyz, p_u, p_xhat1, g2_table, d1, d2):
     return q["r1"], q["r2"], q["d1"], q["d2"]
 
 
-def _g2_best_response(pxyz, p_u, d2):
+def _g2_best_response(pxyz, p_u, d2, m_xzu=None):
     """Distortion-minimizing terminal map; ties go to the lowest index.
 
-    A stack of p_u tables gives a stack of maps.
+    A stack of p_u tables gives a stack of maps. m_xzu is the (X, Z, U)
+    marginal of their joint, when the caller has built it.
     """
-    m_xzu = _marginal(_CASCADE.joint((pxyz, p_u)), (0, 2, 3), p_u.ndim > 3)
+    if m_xzu is None:
+        m_xzu = _marginal(_CASCADE.joint((pxyz, p_u)), (0, 2, 3), p_u.ndim > 3)
     cost = np.einsum("...xzu,xh->...uzh", m_xzu, d2)
     return np.argmin(cost, axis=-1)  # (U, Z)
 
@@ -486,33 +497,82 @@ def _search_objective(pxyz, p_u_raw, p_xhat1, g2_table, d1, d2, r2_cap, d2_cap, 
     return out if p_u_raw.ndim > 3 else float(out[0])
 
 
+# the bisection steps that settle a blend weight, taken _BLEND_LEVEL at a
+# time: one pass evaluates the 2^_BLEND_LEVEL - 1 midpoints they can visit
+_BLEND_STEPS = 40
+_BLEND_LEVEL = 8
+
+
 def _blend_to_rate(pxyz, p_u, cap):
     """Garble U toward its marginal until the rate bound fits the cap.
 
     Returns the garbled table and the blend weight t: the garbled U keeps
     the old one with probability 1 - t and is otherwise a fresh draw from
-    its marginal.
+    its marginal. t = 0 when r2(0) <= cap + 1e-9; otherwise t is the end of
+    _BLEND_STEPS bisection steps on [0, 1] that keep r2(hi) <= cap + 1e-12,
+    where r2(t) = I(U_t; X, Y | Z) is non-increasing, as U_t' is a garbling
+    of U_t for t' > t.
+
+    Each step decides exactly as `_cmi` on the blend's joint would: r2 is
+    first read from a cheap form evaluated at many t in one pass, and a
+    value within `guard` of its bound is decided by `_cmi` itself.
     """
     pxy = pxyz.sum(axis=2)
     marg = np.einsum("xy,xyu->u", pxy, p_u)
 
     def rate(t):
         mixed = (1.0 - t) * p_u + t * marg[None, None, :]
-        return _cmi(_CASCADE.joint((pxyz, mixed)), *_CASCADE.rates["r2"]), mixed
+        return _cmi(_CASCADE.joint((pxyz, mixed)), *_CASCADE.rates["r2"])
 
-    r0, _ = rate(0.0)
-    if r0 <= cap + 1e-9:
-        return p_u, 0.0
+    # U - (X, Y) - Z is Markov, so r2 = H(U_t|Z) - H(U_t|X,Y), and both
+    # p(z, u_t) and p(u_t|x,y) are affine in t
+    pz = pxyz.sum(axis=(0, 1))
+    pzu_0, pzu_1 = np.einsum("xyz,xyu->zu", pxyz, p_u), pz[:, None] * marg
+
+    def xlogx(p):
+        return p * np.log2(np.where(p > 0.0, p, 1.0))
+
+    h_z = -xlogx(pz).sum()
+
+    def cheap(ts):
+        s = ts[:, None, None]
+        h_zu = -xlogx((1.0 - s) * pzu_0 + s * pzu_1).sum(axis=(1, 2))
+        mixed = (1.0 - s[..., None]) * p_u + s[..., None] * marg
+        h_u_xy = -(pxy[..., None] * xlogx(mixed)).sum(axis=(1, 2, 3))
+        return np.maximum(h_zu - h_z - h_u_xy, 0.0)
+
+    # Both forms round one value. Over N joint entries, each marginal cell
+    # sums at most N nonnegative products, so it carries a relative error of
+    # at most (N + 5) eps; each of the four entropies of either form, at most
+    # log2 N bits, then errs by at most (2 log2 N + 1.5)(N + 5) eps bits, and
+    # the two forms differ by at most eight such errors and the rounding of
+    # their last additions. The guard is about four times that bound:
+    # 1.5e-12 bits at N = 16 and 3.3e-11 at N = 256. Beyond it, the cheap
+    # value lies on the same side of the bound as the exact one.
+    n = pxyz.size * p_u.shape[-1]
+    guard = 64.0 * (n + 5) * (math.log2(n) + 1.0) * np.finfo(float).eps
+
+    def fits(t, r, bound):
+        return rate(t) <= bound if abs(r - bound) <= guard else r <= bound
+
     lo, hi = 0.0, 1.0
-    mixed = marg[None, None, :] * np.ones_like(p_u)
-    for _ in range(40):
-        t = 0.5 * (lo + hi)
-        r, cand = rate(t)
-        if r <= cap + 1e-12:
-            hi, mixed = t, cand
-        else:
-            lo = t
-    return mixed, hi
+    width = 1 << _BLEND_LEVEL
+    for level in range(_BLEND_STEPS // _BLEND_LEVEL):
+        # lo and hi are dyadics of denominator at most 2^40, so the grid is
+        # exact: lo, then every midpoint the next steps can take
+        grid = lo + (hi - lo) * np.arange(width) / width
+        r = cheap(grid)
+        if level == 0 and fits(0.0, r[0], cap + 1e-9):
+            return p_u, 0.0
+        a, b = 0, width
+        for _ in range(_BLEND_LEVEL):
+            t, m = 0.5 * (lo + hi), (a + b) // 2
+            assert t == grid[m]
+            if fits(t, r[m], cap + 1e-12):
+                hi, b = t, m
+            else:
+                lo, a = t, m
+    return (1.0 - hi) * p_u + hi * marg[None, None, :], hi
 
 
 def _relay_floor(pxyz, w, u_size, cap):
@@ -542,6 +602,45 @@ _INNER_ITERS = 12
 # line-searched steps of one exponentiated-gradient pass, and its first step size
 _EG_STEPS = 8
 _EG_ETA = 0.5
+
+
+# What the search and the oracle keep across queries, for one source at a
+# time: a query on a source of other content (the shapes and bytes of
+# src.pmf.probs, src.d1 and src.d2) drops all of it.
+_KEPT = None
+# the most anchors, and the most relay channels, kept for one source; past
+# it the oldest goes first
+_MAX_KEPT_SOLVES = 256
+
+
+@dataclass
+class _Kept:
+    key: tuple
+    oracle: tuple | None = None  # (u_size, resolution, table) of the last oracle query
+    anchors: dict = dataclasses.field(default_factory=dict)  # (u_size, d1) -> anchor
+    relays: dict = dataclasses.field(default_factory=dict)  # d2 -> |U| = 1 relay channel
+
+
+def _kept(src: SourceSpec) -> _Kept:
+    """The kept state of `src`, new and empty when the last query's source differs."""
+    global _KEPT
+    key = tuple((t.shape, t.tobytes()) for t in (src.pmf.probs, src.d1, src.d2))
+    if _KEPT is None or _KEPT.key != key:
+        _KEPT = _Kept(key)
+    return _KEPT
+
+
+def _remember(kept: dict, key, solve):
+    """kept[key], from solve() on a miss; its arrays are made read-only."""
+    if key not in kept:
+        value = solve()
+        for part in value if isinstance(value, tuple) else (value,):
+            if isinstance(part, np.ndarray):
+                part.flags.writeable = False
+        if len(kept) >= _MAX_KEPT_SOLVES:
+            del kept[next(iter(kept))]
+        kept[key] = value
+    return kept[key]
 
 
 @dataclass(frozen=True)
@@ -583,6 +682,14 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
         = I(X; W | Y) = R(D*) = max(R(d1_target), R(d2_target)).
     Otherwise the restarts run exactly as without the candidate (`path`
     "search").
+
+    The anchor (its relay channel, g2 and quantities) depends on the source,
+    u_size and d1_target alone, and the |U| = 1 relay channel at d2_target,
+    which the relay floor uses when d1_target > d2_target, on the source and
+    d2_target alone. Both are kept for later queries on the same source
+    content, up to _MAX_KEPT_SOLVES of each, so a query that repeats them
+    (a sweep over r2 or d2) skips their solves; every answer is bit-identical
+    to a cold one. A NaN target is refused by name; infinite ones are valid.
     """
     nx, ny, nz = src.pmf.sizes
     if u_size < 1:
@@ -590,6 +697,7 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
     if restarts < 0:
         raise ValueError(f"restarts must be nonnegative, got {restarts}")
     _budget(_CASCADE.budgets["U"]({"X": nx, "Y": ny}), u_size, "U")
+    _refuse_nan(d1_target=d1_target, d2_target=d2_target, r2_budget=r2_budget)
     if d2_target <= 0 or d1_target < 0 or r2_budget < 0:
         raise ValueError("need d2 > 0, d1 >= 0, r2 >= 0")
     pxyz = src.pmf.probs
@@ -606,13 +714,15 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
 
     best = None  # the first feasible candidate of least r1
 
-    def consider(p_u, p_xhat1, g2_table):
+    def consider(p_u, p_xhat1, g2_table, vals=None):
         """Keep a candidate that meets the query below every earlier one.
 
-        Returns the candidate's r1, kept or not.
+        Returns the candidate's r1, kept or not. `vals` are its quantities,
+        when already known.
         """
         nonlocal best
-        vals = _cascade_quantities(pxyz, p_u, p_xhat1, g2_table, src.d1, src.d2)
+        if vals is None:
+            vals = _cascade_quantities(pxyz, p_u, p_xhat1, g2_table, src.d1, src.d2)
         r1, r2, d1v, d2v = vals
         ok = (
             r2 <= r2_budget + 1e-9
@@ -623,18 +733,28 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
             best = (p_u, p_xhat1, g2_table, vals)
         return r1
 
-    # constant-U anchor: exact for the d2-slack regime
+    # constant-U anchor: exact for the d2-slack regime; it depends on the
+    # source, u_size and d1_target alone, so it is solved once and kept
+    kept = _kept(src)
     p_u_const = np.zeros((nx, ny, u_size))
     p_u_const[:, :, 0] = 1.0
-    g2_const = _g2_best_response(pxyz, p_u_const, src.d2)
-    xhat1_const = _xhat1_rd_solve(pxyz, p_u_const, src.d1, d1_target)
-    consider(p_u_const, xhat1_const, g2_const)
+
+    def anchor():
+        g2 = _g2_best_response(pxyz, p_u_const, src.d2)
+        xhat1 = _xhat1_rd_solve(pxyz, p_u_const, src.d1, d1_target)
+        return xhat1, g2, _cascade_quantities(pxyz, p_u_const, xhat1, g2, src.d1, src.d2)
+
+    xhat1_const, g2_const, vals = _remember(kept.anchors, (u_size, d1_target), anchor)
+    consider(p_u_const, xhat1_const, g2_const, vals)
 
     # relay floor: optimal whenever it meets the query (see above)
     path = "search"
     if n_hat1 <= u_size and np.array_equal(src.d1, src.d2):
-        w = (xhat1_const if d1_target <= d2_target
-             else _xhat1_rd_solve(pxyz, p_u_const[:, :, :1], src.d1, d2_target))
+        if d1_target <= d2_target:
+            w = xhat1_const
+        else:
+            w = _remember(kept.relays, d2_target, lambda: _xhat1_rd_solve(
+                pxyz, p_u_const[:, :, :1], src.d1, d2_target))
         p_u, p_xhat1 = _relay_floor(pxyz, w[:, :, 0], u_size, r2_budget)
         floor_r1 = consider(p_u, p_xhat1, _g2_best_response(pxyz, p_u, src.d2))
         if best is not None and best[-1][0] <= floor_r1 + 1e-12:
@@ -775,19 +895,18 @@ def oracle_min_r1(src: SourceSpec, u_size: int, resolution: int,
                   d1_target: float, d2_target: float, r2_budget: float):
     """Least r1 among enumerated points meeting the query; None if none do.
 
-    The points are the rows of one table, built on the first query and kept
-    for the next ones: only the most recent table is kept, keyed on the
-    bytes and shapes of src.pmf.probs, src.d1 and src.d2 and on u_size and
-    resolution, so a source read back from its file reuses it.
+    A NaN target is refused by name. The points are the rows of one table,
+    built on the first query and kept for the next ones: only the most
+    recent table is kept, with the search's kept state of the source's
+    content (the bytes and shapes of src.pmf.probs, src.d1 and src.d2), for
+    its u_size and resolution, so a source read back from its file reuses it.
     It holds at most _MAX_ORACLE_POINTS rows of 32 bytes (32 MiB); the
     doubly symmetric source at |U| = 2, resolution 5 has 6480 (207 KB).
     """
+    _refuse_nan(d1_target=d1_target, d2_target=d2_target, r2_budget=r2_budget)
     r1, r2, d1v, d2v = _oracle_table(src, u_size, resolution).T
     ok = (r2 <= r2_budget + 1e-9) & (d1v <= d1_target + 1e-9) & (d2v <= d2_target + 1e-9)
     return float(r1[ok].min()) if ok.any() else None
-
-
-_ORACLE_TABLE = None  # (key, table) of the most recent _oracle_table call
 
 
 def _oracle_table(src: SourceSpec, u_size: int, resolution: int) -> np.ndarray:
@@ -795,13 +914,9 @@ def _oracle_table(src: SourceSpec, u_size: int, resolution: int) -> np.ndarray:
 
     Returns the kept table while its key matches (see `oracle_min_r1`).
     """
-    global _ORACLE_TABLE
     for name, value in (("u_size", u_size), ("resolution", resolution)):
         if value < 1:
             raise ValueError(f"{name} must be at least 1, got {value}")
-    key = (u_size, resolution, *((t.shape, t.tobytes()) for t in (src.pmf.probs, src.d1, src.d2)))
-    if _ORACLE_TABLE is not None and _ORACLE_TABLE[0] == key:
-        return _ORACLE_TABLE[1]
     nx, ny, _ = src.pmf.sizes
     # lattice rows per (x, y) cell, to the power of the cells, times the maps
     n = 1 if resolution == 1 else (math.comb(u_size + resolution - 1, resolution) ** (nx * ny)
@@ -812,13 +927,16 @@ def _oracle_table(src: SourceSpec, u_size: int, resolution: int) -> np.ndarray:
             f"{_MAX_ORACLE_POINTS} points ({32 * _MAX_ORACLE_POINTS} bytes); "
             "reduce the resolution or u_size"
         )
+    kept = _kept(src)
+    if kept.oracle is not None and kept.oracle[:2] == (u_size, resolution):
+        return kept.oracle[2]
     table = np.empty((n, 4))
     filled = 0
     for chunk in _enumerate_oracle_points(src, u_size, resolution):
         table[filled : filled + len(chunk)] = chunk
         filled += len(chunk)
     table.flags.writeable = False
-    _ORACLE_TABLE = (key, table)
+    kept.oracle = (u_size, resolution, table)
     return table
 
 
@@ -867,8 +985,8 @@ def _enumerate_oracle_points(src: SourceSpec, u_size: int, resolution: int):
         joint_u = _CASCADE.joint((pxyz, p_u))
         rates = {r: _cmi(joint_u, *axes, True) for r, axes in _CASCADE.rates.items()}
         r1_base, r2 = rates["r1"], rates["r2"]
-        g2 = _g2_best_response(pxyz, p_u, src.d2)  # (B, U, Z)
         m_xzu = _marginal(joint_u, (0, 2, 3), True)
+        g2 = _g2_best_response(pxyz, p_u, src.d2, m_xzu)  # (B, U, Z)
         sel = src.d2[np.arange(nx)[:, None, None], g2.transpose(0, 2, 1)[:, None]]
         d2v = (m_xzu * sel).reshape(len(p_u), -1).sum(axis=1)
         # zero-rate relay reconstruction f(y, u)

@@ -5,6 +5,8 @@ logic with the package solvers: the forward-rate oracle scans a dense alpha
 grid and decides per-alpha feasibility by intersecting the root interval of
 the distortion quadratic with the rate-budget interval (the solver instead
 maximizes the quadratic over candidate points and takes alpha in closed form).
+The blend reference settles the search's garbling weight with one exact
+`cmi` on the blend's joint per bisection step.
 """
 
 import math
@@ -71,3 +73,33 @@ def gaussian_min_r1_oracle(va, vb, d1, d2_eff, r2, n=800):
             alpha = float(a)
             break
     return max(0.5 * math.log2(va / d1), 0.5 * math.log2(1.0 + alpha * alpha * va))
+
+
+def blend_to_rate_bisection(pxyz, p_u, cap):
+    """Reference for `discrete._blend_to_rate`: 40 bisection steps on the exact r2.
+
+    r2 = I(U; X, Y | Z) on the cascade's joint axes (X, Y, Z, U, Xhat1),
+    with no relay factor.
+    """
+    from cascade_rd.probability import cmi, joint
+
+    pxy = pxyz.sum(axis=2)
+    marg = np.einsum("xy,xyu->u", pxy, p_u)
+
+    def rate(t):
+        mixed = (1.0 - t) * p_u + t * marg[None, None, :]
+        return cmi(joint(5, (pxyz, (0, 1, 2)), (mixed, (0, 1, 3))), (3,), (0, 1), (2,)), mixed
+
+    r0, _ = rate(0.0)
+    if r0 <= cap + 1e-9:
+        return p_u, 0.0
+    lo, hi = 0.0, 1.0
+    mixed = marg[None, None, :] * np.ones_like(p_u)
+    for _ in range(40):
+        t = 0.5 * (lo + hi)
+        r, cand = rate(t)
+        if r <= cap + 1e-12:
+            hi, mixed = t, cand
+        else:
+            lo = t
+    return mixed, hi

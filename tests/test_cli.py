@@ -708,6 +708,31 @@ def test_search_rows_name_their_path(tmp_path, flags, path):
     assert res.path == path and row["r1"] == "%.12g" % res.r1
 
 
+def test_search_sweep_over_r2_writes_the_rows_of_cold_runs_and_solves_the_relay_once(
+        tmp_path, monkeypatch):
+    src = tmp_path / "src.txt"
+    src.write_text(save_source_spec(dsbs_source()))
+    solve, calls = discrete._xhat1_rd_solve, []
+
+    def counted(*args):
+        calls.append(args[3])
+        return solve(*args)
+
+    monkeypatch.setattr(discrete, "_xhat1_rd_solve", counted)
+    base = f"discrete-search --source {src} --d1 0.1 --d2 0.36 --u-size 2 --restarts 2"
+
+    def rows(r2, *extra):
+        out = tmp_path / "r.csv"
+        monkeypatch.setattr(discrete, "_KEPT", None)
+        assert main(f"{base} --r2 {r2} {' '.join(extra)} --out {out}".split()) == 0
+        return [ln for ln in out.read_bytes().splitlines() if not ln.startswith(b"#")]
+
+    swept = rows(0.3, "--sweep", "r2:lin:0.3:0.6:4")
+    assert calls == [0.1]
+    cold = [rows(repr(float(r2))) for r2 in np.linspace(0.3, 0.6, 4)]
+    assert swept == cold[0][:1] + [one[1] for one in cold]
+
+
 @pytest.mark.parametrize("flag, value, name", [("u-size", "0", "u_size"),
                                                ("u-size", "-1", "u_size"),
                                                ("restarts", "-2", "restarts")])

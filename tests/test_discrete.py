@@ -26,8 +26,10 @@ from cascade_rd.probability import (
     JointPMF,
     cmi,
     compose_markov_chain,
+    joint,
 )
-from test_golden_search import DSBS, bsc, dsbs_source, ternary_source
+from oracles import blend_to_rate_bisection
+from test_golden_search import DSBS, bsc, digest, dsbs_source, ternary_source
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -464,6 +466,31 @@ def test_search_answers_on_the_relay_floor(d1, d2, r2, restarts):
     assert pt.d1 <= d1 + 1e-9 and pt.d2 <= d2 + 1e-9 and pt.r2 <= r2 + 1e-9
 
 
+@pytest.mark.parametrize("name", ["d1_target", "d2_target", "r2_budget"])
+def test_search_and_oracle_refuse_a_nan_target_by_name_before_any_solve(monkeypatch, name):
+    # a NaN passed every range check: the search ran its restarts and called
+    # the query infeasible, and the oracle answered None
+    calls = []
+    monkeypatch.setattr(discrete, "_KEPT", None)
+    monkeypatch.setattr(discrete, "_xhat1_rd_solve", lambda *args: calls.append(args))
+    monkeypatch.setattr(discrete, "_enumerate_oracle_points", lambda *args: calls.append(args))
+    query = {"d1_target": 0.1, "d2_target": 0.3, "r2_budget": 0.4}
+    query[name] = float("nan")
+    with pytest.raises(ValueError, match=f"{name} must be a number, got nan"):
+        min_r1_cascade_search(dsbs_source(), u_size=2, restarts=2, **query)
+    with pytest.raises(ValueError, match=f"{name} must be a number, got nan"):
+        oracle_min_r1(dsbs_source(), 2, 5, **query)
+    assert calls == [] and discrete._KEPT is None
+
+
+def test_search_takes_infinite_targets():
+    src = dsbs_source()
+    res = min_r1_cascade_search(src, np.inf, 0.3, 0.4, u_size=2, restarts=2)
+    assert (res.r1, res.path) == (0.0, "relay-floor")
+    res = min_r1_cascade_search(src, 0.1, np.inf, np.inf, u_size=2, restarts=2)
+    assert res.r1 == pytest.approx(h2(0.2) - h2(0.1), abs=1e-12)
+
+
 # --------------------------------------------------------------------- oracle
 
 
@@ -513,14 +540,14 @@ def test_oracle_refuses_bad_sizes_by_name_and_keeps_no_table(monkeypatch, entry,
                                                              resolution, name):
     # resolution 0 gave None (oracle_min_r1) or NaN distortions (the frontier),
     # u_size 0 a ZeroDivisionError, resolution -1 itertools' own message
-    monkeypatch.setattr(discrete, "_ORACLE_TABLE", None)
+    monkeypatch.setattr(discrete, "_KEPT", None)
     args = (dsbs_source(), u_size, resolution)
     with pytest.raises(ValueError, match=name):
         if entry == "oracle_min_r1":
             oracle_min_r1(*args, 0.1, 0.3, 0.4)
         else:
             brute_force_region_oracle(*args)
-    assert discrete._ORACLE_TABLE is None
+    assert discrete._KEPT is None
 
 
 def test_oracle_table_cap_names_points_and_bytes_and_keeps_the_old_table():
@@ -554,9 +581,9 @@ def test_oracle_sources_that_differ_only_in_d2_get_their_own_answers(monkeypatch
     query = (0.1, 0.2, 0.4)
     base = dsbs_source()
     other = SourceSpec(base.pmf, HAMMING, 0.5 * HAMMING)
-    monkeypatch.setattr(discrete, "_ORACLE_TABLE", None)
+    monkeypatch.setattr(discrete, "_KEPT", None)
     want_base = oracle_min_r1(base, 2, 5, *query)
-    monkeypatch.setattr(discrete, "_ORACLE_TABLE", None)
+    monkeypatch.setattr(discrete, "_KEPT", None)
     want_other = oracle_min_r1(other, 2, 5, *query)
     assert want_base != want_other
     for _ in range(2):
@@ -587,7 +614,7 @@ def test_reloaded_source_reuses_the_oracle_table(monkeypatch):
         calls.append(args[1:])
         return enumerate_points(*args)
 
-    monkeypatch.setattr(discrete, "_ORACLE_TABLE", None)
+    monkeypatch.setattr(discrete, "_KEPT", None)
     monkeypatch.setattr(discrete, "_enumerate_oracle_points", counted)
     src = dsbs_source()
     oracle_min_r1(src, 2, 5, *sorted(DSBS)[0])
@@ -600,10 +627,89 @@ def test_reloaded_source_reuses_the_oracle_table(monkeypatch):
 def test_dsbs_oracle_pins_hold_from_a_cold_and_a_warm_table(monkeypatch):
     src = dsbs_source()
     for query, pins in sorted(DSBS.items()):
-        monkeypatch.setattr(discrete, "_ORACLE_TABLE", None)
+        monkeypatch.setattr(discrete, "_KEPT", None)
         assert oracle_min_r1(src, 2, 5, *query).hex() == pins[-1]
     for query, pins in sorted(DSBS.items()):
         assert oracle_min_r1(src, 2, 5, *query).hex() == pins[-1]
+
+
+# ---------------------------------------------------------------- kept state
+
+
+def test_dsbs_search_pins_hold_cold_and_warm(monkeypatch):
+    src = dsbs_source()
+
+    def answer(query):
+        res = min_r1_cascade_search(src, *query, u_size=2, restarts=2, seed=0)
+        return res.r1.hex(), digest(res.aux.p_u.table), digest(res.aux.p_xhat1.table)
+
+    for query, pins in sorted(DSBS.items()):
+        monkeypatch.setattr(discrete, "_KEPT", None)
+        assert answer(query) == pins[:3]
+    for _ in range(2):  # the first pass keeps each anchor, the second reads it
+        for query, pins in sorted(DSBS.items()):
+            assert answer(query) == pins[:3]
+
+
+def test_search_solves_again_for_a_source_of_other_content(monkeypatch):
+    solve, calls = discrete._xhat1_rd_solve, []
+
+    def counted(*args):
+        calls.append(args[3])
+        return solve(*args)
+
+    monkeypatch.setattr(discrete, "_KEPT", None)
+    monkeypatch.setattr(discrete, "_xhat1_rd_solve", counted)
+    base = dsbs_source()
+    # each has base's shapes; the anchor alone meets (0.05, 0.5, 0.4) on
+    # each, so no restart solves anything
+    sources = [
+        (base, [0.05]),
+        (base, []),
+        (load_source_spec(save_source_spec(base)), []),
+        (SourceSpec(JointPMF(0.5 * bsc(0.25)[:, :, None] * bsc(0.3)[None]), HAMMING, HAMMING),
+         [0.05]),
+        (base, [0.05]),
+        (SourceSpec(base.pmf, 0.5 * HAMMING, HAMMING), [0.05]),
+        (SourceSpec(base.pmf, HAMMING, 0.5 * HAMMING), [0.05]),
+    ]
+    for src, want in sources:
+        calls.clear()
+        min_r1_cascade_search(src, 0.05, 0.5, 0.4, u_size=2, restarts=0)
+        assert calls == want
+    oracle_min_r1(sources[-1][0], 2, 5, 0.05, 0.5, 0.4)  # the same source: nothing dropped
+    min_r1_cascade_search(sources[-1][0], 0.05, 0.5, 0.4, u_size=2, restarts=0)
+    assert calls == [0.05]
+
+
+def test_kept_anchors_and_relay_channels_stay_within_their_cap(monkeypatch):
+    monkeypatch.setattr(discrete, "_KEPT", None)
+    src, cap = dsbs_source(), discrete._MAX_KEPT_SOLVES
+    # from the zero-rate distortion 0.2 up, each relay solve returns at once
+    targets = [float(t) for t in np.linspace(0.2, 0.5, cap + 10)]
+    for t in targets:
+        min_r1_cascade_search(src, t, 0.6, 1.0, u_size=2, restarts=0)
+    assert list(discrete._KEPT.anchors) == [(2, t) for t in targets[-cap:]]
+    for t in targets:
+        min_r1_cascade_search(src, 0.6, t, 1.0, u_size=2, restarts=0)  # d1 > d2
+    kept = discrete._KEPT
+    assert list(kept.anchors) == [(2, t) for t in targets[-(cap - 1):]] + [(2, 0.6)]
+    assert list(kept.relays) == targets[-cap:]
+
+
+def test_kept_arrays_are_read_only(monkeypatch):
+    monkeypatch.setattr(discrete, "_KEPT", None)
+    src = dsbs_source()
+    min_r1_cascade_search(src, 0.1, 0.36, 0.4, u_size=2, restarts=0)
+    min_r1_cascade_search(src, 0.2, 0.1, 1.0, u_size=2, restarts=0)  # keeps a relay channel
+    oracle_min_r1(src, 2, 3, 0.1, 0.36, 0.4)
+    kept = discrete._KEPT
+    arrays = [a for xhat1, g2, _ in kept.anchors.values() for a in (xhat1, g2)]
+    arrays += [*kept.relays.values(), kept.oracle[2]]
+    assert len(arrays) == 6
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0
 
 
 # --------------------------------------------------------------- serialization
@@ -700,6 +806,55 @@ def test_repeated_block_is_refused_by_name():
 
 
 # ----------------------------------------------------------------- batching
+
+
+def test_blend_to_rate_is_bit_identical_to_one_exact_rate_per_step():
+    rng = np.random.default_rng(91)
+    for trial in range(120):
+        nx, ny, nz, nu = (int(s) for s in rng.integers(1, 5, size=4))
+        pxyz = (rng.dirichlet(np.ones(nx))[:, None, None]
+                * rng.dirichlet(np.ones(ny), size=nx)[:, :, None]
+                * rng.dirichlet(np.ones(nz), size=ny)[None, :, :])
+        if trial % 2:  # (x, y) cells of zero probability
+            cells = rng.random((nx, ny)) < 0.4
+            cells.flat[np.argmax(pxyz.sum(axis=2))] = False
+            pxyz[cells] = 0.0
+            pxyz /= pxyz.sum()
+        p_u = rng.dirichlet(np.ones(nu) * rng.choice([0.2, 1.0, 5.0]), size=(nx, ny))
+        if trial % 4 == 1:  # deterministic
+            p_u = np.eye(nu)[rng.integers(0, nu, size=(nx, ny))]
+        elif trial % 4 == 2:  # every row the marginal: r2 is 0 up to rounding
+            p_u = np.broadcast_to(p_u[0, 0], p_u.shape).copy()
+        r0 = cmi(joint(5, (pxyz, (0, 1, 2)), (p_u, (0, 1, 3))), (3,), (0, 1), (2,))
+        for cap in (0.0, 0.5 * r0, r0, r0 + 1e-12, r0 - 1e-12, r0 - 1e-9):
+            got, t = discrete._blend_to_rate(pxyz, p_u, cap)
+            want, t_want = blend_to_rate_bisection(pxyz, p_u, cap)
+            assert float(t).hex() == float(t_want).hex(), (trial, cap)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (trial, cap)
+
+
+def test_floor_garbling_of_the_dsbs_queries_takes_few_exact_rates(monkeypatch):
+    # the other 32 or more of its 41 decisions are read from the cheap form
+    blend, exact, counts = discrete._blend_to_rate, discrete._cmi, []
+
+    def counted_blend(*args):
+        counts.append(0)
+        try:
+            return blend(*args)
+        finally:
+            counts.append(None)
+
+    def counted_cmi(*args):
+        if counts and counts[-1] is not None:
+            counts[-1] += 1
+        return exact(*args)
+
+    monkeypatch.setattr(discrete, "_blend_to_rate", counted_blend)
+    monkeypatch.setattr(discrete, "_cmi", counted_cmi)
+    for query in sorted(DSBS):
+        counts.clear()
+        min_r1_cascade_search(dsbs_source(), *query, u_size=2, restarts=2, seed=0)
+        assert len(counts) == 2 and counts[0] <= 8, (query, counts)
 
 
 def _random_source_tables(rng):
