@@ -24,6 +24,7 @@ from .probability import cmi as _cmi, marginal as _marginal
 
 CODEWORD_CAP = 2**20
 _P_ATOL = math.sqrt(np.finfo(np.float64).eps)  # Generator.choice's sum tolerance
+_DRAW_CHUNK = 2**16  # uniforms per block of a 2-D symbol draw
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,7 @@ class CascadeCode:
     n_xhat1: int  # codewords per lazy reconstruction book
     p_xhat1_given_uy: np.ndarray  # (|U|, |Y|, |Xhat1|)
     bounds: dict = field(repr=False)
+    _last_book: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_codewords(self) -> int:
@@ -73,20 +75,26 @@ class CascadeCode:
         """Reconstruction codebook for codeword l and this y-sequence.
 
         Generated lazily from p(xhat1|u,y); the sub-seed is a stable hash of
-        (seed, l, y), so every node regenerates the identical book.
+        (seed, l, y), so every node regenerates the identical book. The last
+        book is kept, read-only: a relay that decodes the encoder's codeword
+        asks for the book the encoder just built.
         """
+        y_seq = np.asarray(y_seq, dtype=np.int64)
+        key = (int(l), y_seq.tobytes())
+        if self._last_book is not None and self._last_book[0] == key:
+            return self._last_book[1]
         digest = hashlib.sha256(
             b"xhat1" + self.seed.to_bytes(8, "little", signed=True)
-            + int(l).to_bytes(8, "little")
-            + np.asarray(y_seq, dtype=np.int64).tobytes()
+            + key[0].to_bytes(8, "little") + key[1]
         ).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-        u_seq = self.codebook[l]
-        n_hat = self.p_xhat1_given_uy.shape[-1]
-        probs = self.p_xhat1_given_uy[u_seq, np.asarray(y_seq, dtype=np.int64)]
+        probs = self.p_xhat1_given_uy[self.codebook[l], y_seq]
         cum = probs.cumsum(axis=-1)
         draws = rng.random((self.n_xhat1, self.n))
-        return (draws[:, :, None] < cum[None, :, :]).argmax(axis=-1).astype(np.int64)
+        book = (draws[:, :, None] < cum[None, :, :]).argmax(axis=-1).astype(np.int64)
+        book.flags.writeable = False
+        self._last_book = (key, book)
+        return book
 
 
 def _draw_symbols(rng: np.random.Generator, p: np.ndarray,
@@ -95,18 +103,33 @@ def _draw_symbols(rng: np.random.Generator, p: np.ndarray,
 
     choice searches the normalised cdf for each uniform; counting the cdf
     thresholds at or below each uniform gives the same symbols and consumes
-    the same stream. The result is Fortran-ordered, so its transpose is the
-    C-contiguous (n, rows) block that the typicality kernel reads.
+    the same stream. A 2-D draw is Fortran-ordered, so its transpose is the
+    C-contiguous (n, rows) block that the typicality kernel reads. Its
+    uniforms are drawn in blocks of rows of about _DRAW_CHUNK values, which
+    take them from the stream in the order one draw of the whole shape would,
+    and each block's symbols are written straight into that (n, rows) block.
     """
     if not (np.all(p >= 0) and abs(math.fsum(p) - 1.0) <= _P_ATOL):
         raise ValueError("symbol probabilities must be nonnegative and sum to 1")
     cdf = p.cumsum()
     cdf /= cdf[-1]
-    uniforms = rng.random(shape)
-    symbols = np.zeros(shape, dtype=np.min_scalar_type(p.size - 1))
-    for threshold in cdf[:-1]:
-        symbols += uniforms >= threshold
-    return np.asfortranarray(symbols)
+    dtype = np.min_scalar_type(p.size - 1)
+
+    def symbols_of(uniforms):
+        symbols = np.zeros(uniforms.shape, dtype=dtype)
+        for threshold in cdf[:-1]:
+            symbols += uniforms >= threshold
+        return symbols
+
+    if len(shape) == 1:
+        return symbols_of(rng.random(shape))
+    rows, n = shape
+    out = np.empty((n, rows), dtype=dtype)
+    step = max(1, _DRAW_CHUNK // n)
+    for start in range(0, rows, step):
+        block = symbols_of(rng.random((min(step, rows - start), n)))
+        out[:, start:start + block.shape[0]] = block.T
+    return out.T
 
 
 def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
@@ -121,6 +144,8 @@ def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
     """
     if delta < 0:
         raise ValueError("rate slack delta must be nonnegative")
+    if not 0 <= seed < 2**63:  # xhat1_book hashes it as 8 signed bytes
+        raise ValueError(f"seed must lie in [0, 2^63), got {seed}")
     point = evaluate_point("cascade", src, aux)
     # axes (X, Y, Z, U, Xhat1)
     joint = _CASCADE.joint((src.pmf.probs, aux.p_u.table, aux.p_xhat1.table))
@@ -323,7 +348,7 @@ def run_simulation(src: SourceSpec, aux: AuxiliarySystem, tp: TypicalityParams,
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     code = build_cascade_code(src, aux, tp, delta, seed)
-    nx, ny, nz, nu, nh = code.sizes
+    nx, ny, nz = code.sizes[:3]
     n = code.n
     pxyz_flat = src.pmf.probs.ravel()
     counts = np.zeros(6, dtype=np.int64)
@@ -341,13 +366,12 @@ def run_simulation(src: SourceSpec, aux: AuxiliarySystem, tp: TypicalityParams,
         y_seq = y_seq.astype(np.int64)
         z_seq = z_seq.astype(np.int64)
 
-        e0 = not _kernels.typical_mask(x_seq[None, :], nx, y_seq, ny,
-                                       *code.bounds["xy"])[0]
+        xy = x_seq * ny + y_seq
+        e0 = not _kernels.is_typical(xy, *code.bounds["xy"])
         enc = encode_node0(code, x_seq, y_seq, rng)
         l = enc.l_true
-        xyz = (x_seq * ny + y_seq) * nz + z_seq
-        e2 = not _kernels.typical_mask(code.codebook[l][None, :], nu, xyz, nx * ny * nz,
-                                       *code.bounds["uxyz"])[0]
+        uxyz = code.codebook[l].astype(np.int64) * (nx * ny * nz) + xy * nz + z_seq
+        e2 = not _kernels.is_typical(uxyz, *code.bounds["uxyz"])
         rel = relay_node1(code, enc.m10, enc.m11, y_seq)
         dec = decode_node2(code, rel.m2, z_seq, aux.g2)
         # E4 and E5 per their event definitions: another typical codeword

@@ -297,6 +297,18 @@ def test_simulate_refuses_counts_below_one_by_name(tmp_path, ident_files, flag):
                                               f"ValueError: {flag} must be at least 1, got 0")
 
 
+def test_simulate_refuses_a_seed_of_64_bits_by_name(tmp_path, ident_files):
+    src, aux = ident_files
+    out = tmp_path / "r.csv"
+    argv = ["simulate", "--source", src, "--aux", aux, "--n", "8", "--epsilon", "0.4",
+            "--trials", "2", "--seed", str(2**63), "--out", str(out)]
+    assert main(argv) == 1
+    header, row = _csv_rows(out)
+    row = dict(zip(header, row))
+    assert (row["status"], row["detail"]) == (
+        "error", f"ValueError: seed must lie in [0, 2^63), got {2**63}")
+
+
 def test_simulate_refuses_an_auxiliary_of_the_wrong_shape_by_name(tmp_path):
     src, aux, out = tmp_path / "src.txt", tmp_path / "aux.txt", tmp_path / "r.csv"
     src.write_text(save_source_spec(dsbs_source()))

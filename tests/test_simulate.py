@@ -1,9 +1,10 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from cascade_rd._kernels import typical_mask
+from cascade_rd._kernels import is_typical, typical_mask
 from cascade_rd.discrete import AuxiliarySystem, SourceSpec, evaluate_point
 from cascade_rd.errors import ResourceLimitError
 from cascade_rd.probability import CondPMF, DeterministicMap, JointPMF
@@ -17,6 +18,7 @@ from cascade_rd.simulate import (
     run_simulation,
 )
 from test_golden_search import dsbs_source
+from test_golden_simulation import erasure_aux
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -113,6 +115,35 @@ def test_kernel_zero_probability_symbol_forces_zero_count():
     assert list(mask) == [False, True]
 
 
+def test_single_sequence_check_matches_the_kernel_row():
+    rng = np.random.default_rng(11)
+    outcomes = set()
+    for trial in range(400):
+        n = int(rng.integers(1, 40))
+        nu, nc = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+        p = rng.dirichlet(np.ones(nu * nc))
+        p[rng.random(p.size) < 0.2] = 0.0  # zero-probability cells: lo = hi = 0
+        eps = rng.uniform(0.05, 1.5)
+        lo, hi = n * p * (1.0 - eps), n * p * (1.0 + eps)
+        # bands with no integer inside, which ceil and floor leave empty
+        thin = rng.random(p.size) < 0.1
+        lo[thin] = np.floor(lo[thin]) + 0.3
+        hi[thin] = lo[thin] + 0.4
+        # symbols absent from cond stay absent in a fifth of the trials
+        used = rng.permutation(nc)[:int(rng.integers(1, nc + 1))] if trial % 5 == 0 \
+            else np.arange(nc)
+        cond = rng.choice(used, size=n)
+        p_uc = p.reshape(nu, nc)[:, cond] + 1e-3
+        cdf = np.cumsum(p_uc / p_uc.sum(axis=0), axis=0)
+        row = (rng.random((1, n)) > cdf[:-1]).sum(axis=0)
+        expected = bool(brute_mask(row[None, :], nu, cond, nc, lo, hi)[0])
+        got = is_typical(row * nc + cond, lo, hi)
+        assert type(got) is bool and got == expected, trial
+        assert typical_mask(row[None, :], nu, cond, nc, lo, hi)[0] == expected, trial
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
 def test_codebook_draw_equals_generator_choice():
     cases = [
         (np.array([1.0]), (5, 3)),
@@ -124,6 +155,11 @@ def test_codebook_draw_equals_generator_choice():
     ]
     rng = np.random.default_rng(0)
     cases += [(rng.dirichlet(np.ones(k)), (257, 13)) for k in (3, 5, 300)]
+    # shapes around the blocks of rows a codebook draw is made in
+    ternary = np.array([0.65 / 2, 0.65 / 2, 0.35])
+    cases += [(ternary, (70001, 20)), (ternary, (3, 70000)), (ternary, (0, 20)),
+              (ternary, (2**16, 1)), (ternary, (20,)),
+              (rng.dirichlet(np.ones(300)), (5000, 20))]
     for seed, (p, shape) in enumerate(cases):
         ours = np.random.default_rng(seed)
         ref = np.random.default_rng(seed)
@@ -157,6 +193,18 @@ def test_build_deterministic_given_seed():
     assert np.array_equal(a.bins2, b.bins2)
     c = build_cascade_code(src, aux, tp, delta=0.15, seed=6)
     assert not np.array_equal(a.codebook, c.codebook)
+
+
+@pytest.mark.parametrize("seed", [2**63, 2**64 + 5, -1])
+def test_build_refuses_a_seed_outside_63_bits_by_name(seed):
+    src, aux = ident_source(), bsc_aux(0.25)
+    tp = TypicalityParams(epsilon=0.4, n=8)
+    with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\^63\), got {seed}"):
+        build_cascade_code(src, aux, tp, delta=0.15, seed=seed)
+    with pytest.raises(ValueError, match="seed"):
+        run_simulation(src, aux, tp, delta=0.15, trials=2, seed=seed)
+    res = run_simulation(src, aux, tp, delta=0.15, trials=2, seed=2**63 - 1)
+    assert res.seed == 2**63 - 1
 
 
 def test_build_zero_slack_constant_aux_single_codeword():
@@ -195,7 +243,9 @@ def test_lazy_reconstruction_books_are_stable():
     book1 = code.xhat1_book(3, y)
     book2 = code.xhat1_book(3, y)
     assert np.array_equal(book1, book2)
+    assert book2 is book1 and not book1.flags.writeable  # the last book is kept
     assert not np.array_equal(book1, code.xhat1_book(2, y))
+    assert np.array_equal(book1, code.xhat1_book(3, y))
 
 
 # ---------------------------------------------------------------- node stages
@@ -279,6 +329,19 @@ def test_run_simulation_refuses_an_auxiliary_of_the_wrong_shape():
                                          r"expected \(2, 2\)"):
         run_simulation(dsbs_source(), y_blind_aux(), TypicalityParams(epsilon=0.4, n=8),
                        delta=0.1, trials=2, seed=0)
+
+
+def test_run_at_n20_allocates_little_beyond_its_codebook():
+    # the benchmark's sim-n20 unit: 65536 codewords of 20 ternary symbols
+    # (1.25 MiB) and two int64 bin tables (0.5 MiB each) are what a run keeps
+    tp = TypicalityParams(epsilon=0.65, n=20)
+    tracemalloc.start()
+    try:
+        run_simulation(ident_source(), erasure_aux(), tp, delta=0.15, trials=10, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_clean_trial_distortion_obeys_typical_average_bound():
