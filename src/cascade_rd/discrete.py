@@ -22,19 +22,21 @@ simulator and the CLI read the same table.
 The search and the oracle evaluate stacks of tables through the batch axis
 of that core: the finite-difference gradient of one exponentiated-gradient
 step is one stack, and the oracle enumerates channels in bounded chunks into
-one table of points. That table depends only on the source, |U| and the
-resolution, so the most recent one is kept and each query is a mask and a
-min over it. Likewise the search keeps each source's constant-U anchor per
-(|U|, d1), and its floor garbling reads r2 from a form evaluated at many
-blend weights at once, deferring to `_cmi` near the bound. Every answer is
-bit-identical to evaluating the tables one at a time, from scratch. The
-relay solve (`_xhat1_rd_solve`) solves each slope to Blahut's bound by
-Newton steps and finds the slope by a bracketed regula falsi.
+one table of points. That table depends only on the source's content, |U|
+and the resolution, so the most recent one is kept and each query is a mask
+and a min over it. Likewise the search keeps the 256 most recently used
+constant-U anchors, keyed by the source's content, |U| and d1, and its floor
+garbling reads r2 from a form evaluated at many blend weights at once,
+deferring to `_cmi` near the bound. Every answer is bit-identical to
+evaluating the tables one at a time, from scratch. The relay solve
+(`_xhat1_rd_solve`) solves each slope to Blahut's bound by Newton steps and
+finds the slope by a bracketed regula falsi.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -42,13 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FactorizationError, InfeasibleError, ResourceLimitError
-from .probability import CondPMF, DeterministicMap, JointPMF, check_markov_chain
+from .probability import ByContent, CondPMF, DeterministicMap, JointPMF, check_markov_chain
 from .probability import cmi as _cmi, joint as _joint, marginal as _marginal
 from .probability import read_blocks, table_entropy, write_block
 
 
-@dataclass(frozen=True)
-class SourceSpec:
+@dataclass(frozen=True, eq=False)
+class SourceSpec(ByContent):
     """Markov source p(x,y,z) with its distortion tables.
 
     d1[x, xhat1] scores the relay reconstruction, d2[x, xhat2] the terminal
@@ -604,43 +606,16 @@ _EG_STEPS = 8
 _EG_ETA = 0.5
 
 
-# What the search and the oracle keep across queries, for one source at a
-# time: a query on a source of other content (the shapes and bytes of
-# src.pmf.probs, src.d1 and src.d2) drops all of it.
-_KEPT = None
-# the most anchors, and the most relay channels, kept for one source; past
-# it the oldest goes first
-_MAX_KEPT_SOLVES = 256
-
-
-@dataclass
-class _Kept:
-    key: tuple
-    oracle: tuple | None = None  # (u_size, resolution, table) of the last oracle query
-    anchors: dict = dataclasses.field(default_factory=dict)  # (u_size, d1) -> anchor
-    relays: dict = dataclasses.field(default_factory=dict)  # d2 -> |U| = 1 relay channel
-
-
-def _kept(src: SourceSpec) -> _Kept:
-    """The kept state of `src`, new and empty when the last query's source differs."""
-    global _KEPT
-    key = tuple((t.shape, t.tobytes()) for t in (src.pmf.probs, src.d1, src.d2))
-    if _KEPT is None or _KEPT.key != key:
-        _KEPT = _Kept(key)
-    return _KEPT
-
-
-def _remember(kept: dict, key, solve):
-    """kept[key], from solve() on a miss; its arrays are made read-only."""
-    if key not in kept:
-        value = solve()
-        for part in value if isinstance(value, tuple) else (value,):
-            if isinstance(part, np.ndarray):
-                part.flags.writeable = False
-        if len(kept) >= _MAX_KEPT_SOLVES:
-            del kept[next(iter(kept))]
-        kept[key] = value
-    return kept[key]
+@functools.lru_cache(maxsize=256)
+def _anchor(src: SourceSpec, u_size: int, d1_target: float):
+    """(p(xhat1|x,y,u), g2, quantities) of the constant-U auxiliary, arrays read-only."""
+    pxyz = src.pmf.probs
+    p_u = np.zeros(src.pmf.sizes[:2] + (u_size,))
+    p_u[:, :, 0] = 1.0
+    g2 = _g2_best_response(pxyz, p_u, src.d2)
+    xhat1 = _xhat1_rd_solve(pxyz, p_u, src.d1, d1_target)
+    xhat1.flags.writeable = g2.flags.writeable = False
+    return xhat1, g2, _cascade_quantities(pxyz, p_u, xhat1, g2, src.d1, src.d2)
 
 
 @dataclass(frozen=True)
@@ -657,10 +632,10 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
     """Smallest cascade forward rate found by alternating optimization.
 
     Alternates exponentiated-gradient steps on p(u|x,y) (finite-difference
-    gradient of the penalized objective), an exact Blahut-Arimoto solve for
-    the relay channel at the d1 target, and a best-response terminal map,
-    under a x10-per-round penalty schedule; multi-start with per-restart
-    seeds, best feasible restart wins (lowest index on ties).
+    gradient of the penalized objective), the relay channel at the d1 target
+    by `_xhat1_rd_solve`'s Newton / regula falsi solve, and a best-response
+    terminal map, under a x10-per-round penalty schedule; multi-start with
+    per-restart seeds, best feasible restart wins (lowest index on ties).
 
     Relay floor. When d1 and d2 are the same table and u_size >= |Xhat1|,
     one candidate is tried before the restarts. Let W be the relay solve's
@@ -683,13 +658,12 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
     Otherwise the restarts run exactly as without the candidate (`path`
     "search").
 
-    The anchor (its relay channel, g2 and quantities) depends on the source,
-    u_size and d1_target alone, and the |U| = 1 relay channel at d2_target,
-    which the relay floor uses when d1_target > d2_target, on the source and
-    d2_target alone. Both are kept for later queries on the same source
-    content, up to _MAX_KEPT_SOLVES of each, so a query that repeats them
-    (a sweep over r2 or d2) skips their solves; every answer is bit-identical
-    to a cold one. A NaN target is refused by name; infinite ones are valid.
+    The anchor (its relay channel, g2 and quantities) depends on the source's
+    content, u_size and d1_target alone; the relay floor uses its channel, or
+    the |U| = 1 anchor's at d2_target when d1_target > d2_target. `_anchor`
+    keeps the 256 most recently used, so a query that repeats one (a sweep
+    over r2 or d2) skips its solve; every answer is bit-identical to a cold
+    one. A NaN target is refused by name; infinite ones are valid.
     """
     nx, ny, nz = src.pmf.sizes
     if u_size < 1:
@@ -733,28 +707,16 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
             best = (p_u, p_xhat1, g2_table, vals)
         return r1
 
-    # constant-U anchor: exact for the d2-slack regime; it depends on the
-    # source, u_size and d1_target alone, so it is solved once and kept
-    kept = _kept(src)
+    # constant-U anchor: exact for the d2-slack regime
     p_u_const = np.zeros((nx, ny, u_size))
     p_u_const[:, :, 0] = 1.0
-
-    def anchor():
-        g2 = _g2_best_response(pxyz, p_u_const, src.d2)
-        xhat1 = _xhat1_rd_solve(pxyz, p_u_const, src.d1, d1_target)
-        return xhat1, g2, _cascade_quantities(pxyz, p_u_const, xhat1, g2, src.d1, src.d2)
-
-    xhat1_const, g2_const, vals = _remember(kept.anchors, (u_size, d1_target), anchor)
+    xhat1_const, g2_const, vals = _anchor(src, u_size, d1_target)
     consider(p_u_const, xhat1_const, g2_const, vals)
 
     # relay floor: optimal whenever it meets the query (see above)
     path = "search"
     if n_hat1 <= u_size and np.array_equal(src.d1, src.d2):
-        if d1_target <= d2_target:
-            w = xhat1_const
-        else:
-            w = _remember(kept.relays, d2_target, lambda: _xhat1_rd_solve(
-                pxyz, p_u_const[:, :, :1], src.d1, d2_target))
+        w = xhat1_const if d1_target <= d2_target else _anchor(src, 1, d2_target)[0]
         p_u, p_xhat1 = _relay_floor(pxyz, w[:, :, 0], u_size, r2_budget)
         floor_r1 = consider(p_u, p_xhat1, _g2_best_response(pxyz, p_u, src.d2))
         if best is not None and best[-1][0] <= floor_r1 + 1e-12:
@@ -857,7 +819,6 @@ ORACLE_SLACK_BITS = {1: 1.0, 2: 0.25, 3: 0.12, 4: 0.08, 5: 0.06, 6: 0.05,
 
 # rows (r1, r2, d1, d2) of float64 in the one oracle table kept: 32 MiB
 _MAX_ORACLE_POINTS = 1 << 20
-_PARETO_BLOCK = 256  # rows of the frontier pass tested against the kept points at once
 
 
 def _simplex_grid(m: int, resolution: int) -> np.ndarray:
@@ -896,12 +857,11 @@ def oracle_min_r1(src: SourceSpec, u_size: int, resolution: int,
     """Least r1 among enumerated points meeting the query; None if none do.
 
     A NaN target is refused by name. The points are the rows of one table,
-    built on the first query and kept for the next ones: only the most
-    recent table is kept, with the search's kept state of the source's
-    content (the bytes and shapes of src.pmf.probs, src.d1 and src.d2), for
-    its u_size and resolution, so a source read back from its file reuses it.
-    It holds at most _MAX_ORACLE_POINTS rows of 32 bytes (32 MiB); the
-    doubly symmetric source at |U| = 2, resolution 5 has 6480 (207 KB).
+    built on the first query and kept for the next ones: `_oracle_table`
+    keeps the most recent one, keyed by the source's content, u_size and
+    resolution, so a source read back from its file reuses it. It holds at
+    most _MAX_ORACLE_POINTS rows of 32 bytes (32 MiB); the doubly symmetric
+    source at |U| = 2, resolution 5 has 6480 (207 KB).
     """
     _refuse_nan(d1_target=d1_target, d2_target=d2_target, r2_budget=r2_budget)
     r1, r2, d1v, d2v = _oracle_table(src, u_size, resolution).T
@@ -909,10 +869,11 @@ def oracle_min_r1(src: SourceSpec, u_size: int, resolution: int,
     return float(r1[ok].min()) if ok.any() else None
 
 
+@functools.lru_cache(maxsize=1)
 def _oracle_table(src: SourceSpec, u_size: int, resolution: int) -> np.ndarray:
     """Every point `_enumerate_oracle_points` yields, as one read-only (points, 4) array.
 
-    Returns the kept table while its key matches (see `oracle_min_r1`).
+    The most recent table is kept (see `oracle_min_r1`); a refusal keeps nothing.
     """
     for name, value in (("u_size", u_size), ("resolution", resolution)):
         if value < 1:
@@ -927,16 +888,12 @@ def _oracle_table(src: SourceSpec, u_size: int, resolution: int) -> np.ndarray:
             f"{_MAX_ORACLE_POINTS} points ({32 * _MAX_ORACLE_POINTS} bytes); "
             "reduce the resolution or u_size"
         )
-    kept = _kept(src)
-    if kept.oracle is not None and kept.oracle[:2] == (u_size, resolution):
-        return kept.oracle[2]
     table = np.empty((n, 4))
     filled = 0
     for chunk in _enumerate_oracle_points(src, u_size, resolution):
         table[filled : filled + len(chunk)] = chunk
         filled += len(chunk)
     table.flags.writeable = False
-    kept.oracle = (u_size, resolution, table)
     return table
 
 
@@ -1024,27 +981,17 @@ def _pareto_min(points: np.ndarray):
     The result is that of one pass in row order, which keeps each point that
     no kept point dominates and drops the kept points it dominates; it comes
     in row order. With the tolerance, dominance need not be transitive, so
-    the pass is replayed exactly, a block of rows at a time: when no row of
-    the block dominates a kept point, no kept point leaves during the block,
-    and the rows a kept point dominates are skipped together.
+    a point is kept when all that dominate it were dropped before its row.
     """
-    if points.size == 0:
-        return []
 
-    def dominates(q, p):  # (len(q), len(p)) table of "q[i] dominates p[j]"
-        q, p = q[:, None, :], p[None, :, :]
+    def dominates(q, p):  # "q dominates p", per row of whichever is a stack of points
         return (q <= p + 1e-12).all(axis=-1) & (q < p - 1e-12).any(axis=-1)
 
-    keep = np.zeros(len(points), dtype=bool)
-    for start in range(0, len(points), _PARETO_BLOCK):
-        rows = np.arange(start, min(start + _PARETO_BLOCK, len(points)))
+    keep = np.zeros(0, dtype=np.intp)  # the kept rows, in row order
+    for j, p in enumerate(points):
         kept = points[keep]
-        if not dominates(points[rows], kept).any():
-            rows = rows[~dominates(kept, points[rows]).any(axis=0)]
-        for j in rows:
-            if not dominates(points[keep], points[j : j + 1]).any():
-                keep[keep] = ~dominates(points[j : j + 1], points[keep])[0]
-                keep[j] = True
+        if not dominates(kept, p).any():
+            keep = np.append(keep[~dominates(p, kept)], j)
     return [RegionPoint(r1=float(p[0]), r2=float(p[1]), d1=float(p[2]), d2=float(p[3]))
             for p in points[keep]]
 

@@ -39,8 +39,28 @@ def _check_sizes(sizes) -> tuple[int, ...]:
     return sizes
 
 
-@dataclass(frozen=True)
-class JointPMF:
+class ByContent:
+    """Equality and hash by type and attributes, each array by its shape and bytes.
+
+    For frozen dataclasses, declared with eq=False, whose arrays are read-only
+    copies: equal values can then stand for one another as cache keys.
+    """
+
+    def _content(self):
+        return (type(self), *[(v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                              for v in vars(self).values()])
+
+    def __eq__(self, other):
+        if not isinstance(other, ByContent):
+            return NotImplemented
+        return self._content() == other._content()
+
+    def __hash__(self):
+        return hash(self._content())
+
+
+@dataclass(frozen=True, eq=False)
+class JointPMF(ByContent):
     """Dense joint pmf over a tuple of finite-alphabet variables.
 
     probs[i1, ..., ik] = P(X1=i1, ..., Xk=ik). Entries must be finite,
@@ -81,8 +101,8 @@ class JointPMF:
         return cls(_read_single(text, "jointpmf")[0])
 
 
-@dataclass(frozen=True)
-class CondPMF:
+@dataclass(frozen=True, eq=False)
+class CondPMF(ByContent):
     """Conditional pmf table: one output distribution per input tuple.
 
     table[i1, ..., ik, j] = P(out=j | in=(i1, ..., ik)); entries are finite and
@@ -124,8 +144,8 @@ class CondPMF:
         return cls(_read_single(text, "condpmf")[0])
 
 
-@dataclass(frozen=True)
-class DeterministicMap:
+@dataclass(frozen=True, eq=False)
+class DeterministicMap(ByContent):
     """Total function from an input grid to an output index (a read-only table)."""
 
     table: np.ndarray

@@ -37,6 +37,8 @@ class TypicalityParams:
     def __post_init__(self):
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
+        if not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"n must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"n must be at least 1, got {self.n}")
 
@@ -142,8 +144,8 @@ def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
     R_2 = I(U;X,Y|Z)+2 delta. Every 2^ceil(nR) is capped at 2^20. An
     auxiliary that `evaluate_point` refuses for the cascade is refused.
     """
-    if delta < 0:
-        raise ValueError("rate slack delta must be nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"rate slack delta must be finite and nonnegative, got {delta}")
     if not 0 <= seed < 2**63:  # xhat1_book hashes it as 8 signed bytes
         raise ValueError(f"seed must lie in [0, 2^63), got {seed}")
     point = evaluate_point("cascade", src, aux)

@@ -735,7 +735,7 @@ def test_search_sweep_over_r2_writes_the_rows_of_cold_runs_and_solves_the_relay_
 
     def rows(r2, *extra):
         out = tmp_path / "r.csv"
-        monkeypatch.setattr(discrete, "_KEPT", None)
+        discrete._anchor.cache_clear()
         assert main(f"{base} --r2 {r2} {' '.join(extra)} --out {out}".split()) == 0
         return [ln for ln in out.read_bytes().splitlines() if not ln.startswith(b"#")]
 

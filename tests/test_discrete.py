@@ -471,7 +471,6 @@ def test_search_and_oracle_refuse_a_nan_target_by_name_before_any_solve(monkeypa
     # a NaN passed every range check: the search ran its restarts and called
     # the query infeasible, and the oracle answered None
     calls = []
-    monkeypatch.setattr(discrete, "_KEPT", None)
     monkeypatch.setattr(discrete, "_xhat1_rd_solve", lambda *args: calls.append(args))
     monkeypatch.setattr(discrete, "_enumerate_oracle_points", lambda *args: calls.append(args))
     query = {"d1_target": 0.1, "d2_target": 0.3, "r2_budget": 0.4}
@@ -480,7 +479,8 @@ def test_search_and_oracle_refuse_a_nan_target_by_name_before_any_solve(monkeypa
         min_r1_cascade_search(dsbs_source(), u_size=2, restarts=2, **query)
     with pytest.raises(ValueError, match=f"{name} must be a number, got nan"):
         oracle_min_r1(dsbs_source(), 2, 5, **query)
-    assert calls == [] and discrete._KEPT is None
+    assert calls == [] and discrete._anchor.cache_info().currsize == 0
+    assert discrete._oracle_table.cache_info().currsize == 0
 
 
 def test_search_takes_infinite_targets():
@@ -536,18 +536,16 @@ BAD_SIZES = [(2, 0, "resolution"), (0, 5, "u_size"), (0, 1, "u_size"), (2, -1, "
 
 @pytest.mark.parametrize("u_size, resolution, name", BAD_SIZES)
 @pytest.mark.parametrize("entry", ["oracle_min_r1", "brute_force_region_oracle"])
-def test_oracle_refuses_bad_sizes_by_name_and_keeps_no_table(monkeypatch, entry, u_size,
-                                                             resolution, name):
+def test_oracle_refuses_bad_sizes_by_name_and_keeps_no_table(entry, u_size, resolution, name):
     # resolution 0 gave None (oracle_min_r1) or NaN distortions (the frontier),
     # u_size 0 a ZeroDivisionError, resolution -1 itertools' own message
-    monkeypatch.setattr(discrete, "_KEPT", None)
     args = (dsbs_source(), u_size, resolution)
     with pytest.raises(ValueError, match=name):
         if entry == "oracle_min_r1":
             oracle_min_r1(*args, 0.1, 0.3, 0.4)
         else:
             brute_force_region_oracle(*args)
-    assert discrete._KEPT is None
+    assert discrete._oracle_table.cache_info().currsize == 0
 
 
 def test_oracle_table_cap_names_points_and_bytes_and_keeps_the_old_table():
@@ -577,13 +575,12 @@ def test_oracle_table_is_kept_read_only():
     assert discrete._oracle_table(dsbs_source(), 2, 5) is table
 
 
-def test_oracle_sources_that_differ_only_in_d2_get_their_own_answers(monkeypatch):
+def test_oracle_sources_that_differ_only_in_d2_get_their_own_answers():
     query = (0.1, 0.2, 0.4)
     base = dsbs_source()
     other = SourceSpec(base.pmf, HAMMING, 0.5 * HAMMING)
-    monkeypatch.setattr(discrete, "_KEPT", None)
     want_base = oracle_min_r1(base, 2, 5, *query)
-    monkeypatch.setattr(discrete, "_KEPT", None)
+    discrete._oracle_table.cache_clear()
     want_other = oracle_min_r1(other, 2, 5, *query)
     assert want_base != want_other
     for _ in range(2):
@@ -606,6 +603,22 @@ def test_value_types_own_read_only_copies_of_their_tables():
             table[0, 0] = 0
 
 
+def test_value_types_of_equal_content_compare_equal_and_hash_alike():
+    # a dataclass == compared the arrays elementwise and raised ValueError
+    src = dsbs_source()
+    aux = AuxiliarySystem(p_u=CondPMF(np.full((2, 2, 2), 0.5)),
+                          g2=DeterministicMap(np.array([[0, 1], [1, 0]]), 2))
+    for value, twin in ((src, load_source_spec(save_source_spec(src))),
+                        (src.pmf, JointPMF(src.pmf.probs.copy())),
+                        (aux, load_aux(save_aux(aux))), (aux.p_u, CondPMF(aux.p_u.table)),
+                        (aux.g2, DeterministicMap(aux.g2.table, 2))):
+        assert value is not twin and value == twin and hash(value) == hash(twin)
+    assert src != SourceSpec(src.pmf, src.d1, 0.5 * src.d2)
+    assert aux.g2 != DeterministicMap(aux.g2.table, 3)
+    table = np.full((1, 4), 0.25)  # a valid joint pmf and a valid channel
+    assert JointPMF(table) != CondPMF(table)
+
+
 def test_reloaded_source_reuses_the_oracle_table(monkeypatch):
     calls = []
     enumerate_points = discrete._enumerate_oracle_points
@@ -614,7 +627,6 @@ def test_reloaded_source_reuses_the_oracle_table(monkeypatch):
         calls.append(args[1:])
         return enumerate_points(*args)
 
-    monkeypatch.setattr(discrete, "_KEPT", None)
     monkeypatch.setattr(discrete, "_enumerate_oracle_points", counted)
     src = dsbs_source()
     oracle_min_r1(src, 2, 5, *sorted(DSBS)[0])
@@ -624,10 +636,10 @@ def test_reloaded_source_reuses_the_oracle_table(monkeypatch):
     assert calls == [(2, 5)]
 
 
-def test_dsbs_oracle_pins_hold_from_a_cold_and_a_warm_table(monkeypatch):
+def test_dsbs_oracle_pins_hold_from_a_cold_and_a_warm_table():
     src = dsbs_source()
     for query, pins in sorted(DSBS.items()):
-        monkeypatch.setattr(discrete, "_KEPT", None)
+        discrete._oracle_table.cache_clear()
         assert oracle_min_r1(src, 2, 5, *query).hex() == pins[-1]
     for query, pins in sorted(DSBS.items()):
         assert oracle_min_r1(src, 2, 5, *query).hex() == pins[-1]
@@ -636,7 +648,7 @@ def test_dsbs_oracle_pins_hold_from_a_cold_and_a_warm_table(monkeypatch):
 # ---------------------------------------------------------------- kept state
 
 
-def test_dsbs_search_pins_hold_cold_and_warm(monkeypatch):
+def test_dsbs_search_pins_hold_cold_and_warm():
     src = dsbs_source()
 
     def answer(query):
@@ -644,7 +656,7 @@ def test_dsbs_search_pins_hold_cold_and_warm(monkeypatch):
         return res.r1.hex(), digest(res.aux.p_u.table), digest(res.aux.p_xhat1.table)
 
     for query, pins in sorted(DSBS.items()):
-        monkeypatch.setattr(discrete, "_KEPT", None)
+        discrete._anchor.cache_clear()
         assert answer(query) == pins[:3]
     for _ in range(2):  # the first pass keeps each anchor, the second reads it
         for query, pins in sorted(DSBS.items()):
@@ -658,18 +670,18 @@ def test_search_solves_again_for_a_source_of_other_content(monkeypatch):
         calls.append(args[3])
         return solve(*args)
 
-    monkeypatch.setattr(discrete, "_KEPT", None)
     monkeypatch.setattr(discrete, "_xhat1_rd_solve", counted)
     base = dsbs_source()
     # each has base's shapes; the anchor alone meets (0.05, 0.5, 0.4) on
-    # each, so no restart solves anything
+    # each, so no restart solves anything; base's anchor is kept across the
+    # other sources' queries
     sources = [
         (base, [0.05]),
         (base, []),
         (load_source_spec(save_source_spec(base)), []),
         (SourceSpec(JointPMF(0.5 * bsc(0.25)[:, :, None] * bsc(0.3)[None]), HAMMING, HAMMING),
          [0.05]),
-        (base, [0.05]),
+        (base, []),
         (SourceSpec(base.pmf, 0.5 * HAMMING, HAMMING), [0.05]),
         (SourceSpec(base.pmf, HAMMING, 0.5 * HAMMING), [0.05]),
     ]
@@ -682,31 +694,23 @@ def test_search_solves_again_for_a_source_of_other_content(monkeypatch):
     assert calls == [0.05]
 
 
-def test_kept_anchors_and_relay_channels_stay_within_their_cap(monkeypatch):
-    monkeypatch.setattr(discrete, "_KEPT", None)
-    src, cap = dsbs_source(), discrete._MAX_KEPT_SOLVES
+def test_kept_anchors_and_relay_channels_stay_within_their_cap():
+    src, cap = dsbs_source(), 256
     # from the zero-rate distortion 0.2 up, each relay solve returns at once
     targets = [float(t) for t in np.linspace(0.2, 0.5, cap + 10)]
     for t in targets:
         min_r1_cascade_search(src, t, 0.6, 1.0, u_size=2, restarts=0)
-    assert list(discrete._KEPT.anchors) == [(2, t) for t in targets[-cap:]]
     for t in targets:
         min_r1_cascade_search(src, 0.6, t, 1.0, u_size=2, restarts=0)  # d1 > d2
-    kept = discrete._KEPT
-    assert list(kept.anchors) == [(2, t) for t in targets[-(cap - 1):]] + [(2, 0.6)]
-    assert list(kept.relays) == targets[-cap:]
+    # (2, t) and then (1, t) for each t, and (2, 0.6)
+    info = discrete._anchor.cache_info()
+    assert (info.misses, info.maxsize, info.currsize) == (2 * len(targets) + 1, cap, cap)
 
 
-def test_kept_arrays_are_read_only(monkeypatch):
-    monkeypatch.setattr(discrete, "_KEPT", None)
+def test_kept_arrays_are_read_only():
     src = dsbs_source()
-    min_r1_cascade_search(src, 0.1, 0.36, 0.4, u_size=2, restarts=0)
-    min_r1_cascade_search(src, 0.2, 0.1, 1.0, u_size=2, restarts=0)  # keeps a relay channel
-    oracle_min_r1(src, 2, 3, 0.1, 0.36, 0.4)
-    kept = discrete._KEPT
-    arrays = [a for xhat1, g2, _ in kept.anchors.values() for a in (xhat1, g2)]
-    arrays += [*kept.relays.values(), kept.oracle[2]]
-    assert len(arrays) == 6
+    arrays = [*discrete._anchor(src, 2, 0.1)[:2], *discrete._anchor(src, 1, 0.1)[:2],
+              discrete._oracle_table(src, 2, 3)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0

@@ -183,6 +183,25 @@ def test_typicality_params_validation():
         TypicalityParams(epsilon=0.4, n=0)
 
 
+@pytest.mark.parametrize("n", [8.5, 8.0, "8"])
+def test_typicality_params_refuse_a_blocklength_that_is_no_integer_by_name(n):
+    # 8.5 was accepted, and the codebook draw raised a TypeError
+    with pytest.raises(ValueError, match=f"n must be an integer, got {n!r}"):
+        TypicalityParams(epsilon=0.65, n=n)
+    assert TypicalityParams(epsilon=0.65, n=np.int64(8)).n == 8
+
+
+@pytest.mark.parametrize("delta", [np.nan, np.inf, -0.1])
+def test_build_refuses_a_delta_that_is_not_finite_and_nonnegative_by_name(delta):
+    # NaN gave "cannot convert float NaN to integer", inf an OverflowError
+    src, aux = ident_source(), bsc_aux(0.25)
+    tp = TypicalityParams(epsilon=0.4, n=8)
+    with pytest.raises(ValueError, match=f"delta must be finite and nonnegative, got {delta}"):
+        build_cascade_code(src, aux, tp, delta=delta, seed=0)
+    with pytest.raises(ValueError, match="delta"):
+        run_simulation(src, aux, tp, delta=delta, trials=2, seed=0)
+
+
 def test_build_deterministic_given_seed():
     src, aux = ident_source(), bsc_aux(0.25)
     tp = TypicalityParams(epsilon=0.4, n=12)
