@@ -19,7 +19,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -301,29 +301,19 @@ def _gaussian_source(p):
     return gaussian.GaussianCascadeSource(p["var_a"], p["var_b"], p["var_z"])
 
 
-def cmd_gaussian_cascade(point, seed):
-    sol = gaussian.cascade_min_r1(
-        _gaussian_source(point), point["d1"], point["d2"], point["r2"]
-    )
-    return {"r1": sol.r1, "alpha": sol.aux.alpha, "beta": sol.aux.beta}
+def _forward(solver):
+    """The command that answers a point by `gaussian.<solver>(source, *parameters)`.
 
-
-def cmd_gaussian_triangular(point, seed):
-    sol = gaussian.triangular_min_r1(
-        _gaussian_source(point), point["d1"], point["d2"], point["r2"], point["r3"]
-    )
-    return {"r1": sol.r1, "alpha": sol.aux.alpha, "beta": sol.aux.beta}
-
-
-def cmd_gaussian_two_way(point, seed):
-    sol = gaussian.two_way_triangular_min_r1(
-        _gaussian_source(point), point["d1"], point["d2"], point["d3"],
-        point["r2"], point["r3"], point["r4"],
-    )
-    return {
-        "r1": sol.r1, "alpha": sol.aux.alpha, "beta": sol.aux.beta,
-        "r4_threshold": sol.r4_threshold,
-    }
+    The point holds the parameters in the order `COMMANDS` declares, variances
+    first. The solver is looked up per call, so a module wrapper is seen; the
+    columns a command does not declare are not written.
+    """
+    def compute(point, seed):
+        sol = getattr(gaussian, solver)(_gaussian_source(point),
+                                        *list(point.values())[len(GAUSSIAN_SRC):])
+        return {"r1": sol.r1, "alpha": sol.aux.alpha, "beta": sol.aux.beta,
+                "r4_threshold": sol.r4_threshold}
+    return compute
 
 
 def cmd_gaussian_extended(point, seed):
@@ -344,9 +334,8 @@ def cmd_gaussian_extended(point, seed):
 
 
 def cmd_discrete_eval(point, seed):
-    pt = discrete.evaluate_point(point["setting"], _loaded(point["source"]),
-                                 _loaded(point["aux"]))
-    return {k: getattr(pt, k) for k in ("r1", "r2", "r3", "r4", "rh", "d1", "d2", "d3")}
+    return asdict(discrete.evaluate_point(point["setting"], _loaded(point["source"]),
+                                          _loaded(point["aux"])))
 
 
 def cmd_discrete_search(point, seed):
@@ -416,19 +405,19 @@ COMMANDS = {
     "gaussian-cascade": (
         GAUSSIAN_SRC + [Param("d1", float), Param("d2", float), Param("r2", float)],
         ["r1", "alpha", "beta"],
-        cmd_gaussian_cascade,
+        _forward("cascade_min_r1"),
     ),
     "gaussian-triangular": (
         GAUSSIAN_SRC + [Param("d1", float), Param("d2", float),
                         Param("r2", float), Param("r3", float)],
         ["r1", "alpha", "beta"],
-        cmd_gaussian_triangular,
+        _forward("triangular_min_r1"),
     ),
     "gaussian-two-way": (
         GAUSSIAN_SRC + [Param("d1", float), Param("d2", float), Param("d3", float),
                         Param("r2", float), Param("r3", float), Param("r4", float)],
         ["r1", "alpha", "beta", "r4_threshold"],
-        cmd_gaussian_two_way,
+        _forward("two_way_triangular_min_r1"),
     ),
     "gaussian-extended": (
         GAUSSIAN_SRC + [Param("dz1", float), Param("dz2", float),

@@ -71,7 +71,8 @@ class SourceSpec(ByContent):
             raise FactorizationError(
                 f"source is not Markov X-Y-Z (deviation {dev:g} bits)"
             )
-        for name, rows in (("d1", self.nx), ("d2", self.nx), ("d3", self.nz)):
+        nx, _, nz = self.pmf.sizes
+        for name, rows in (("d1", nx), ("d2", nx), ("d3", nz)):
             if name == "d3" and self.d3 is None:  # the one optional table
                 continue
             t = np.array(getattr(self, name), dtype=np.float64)
@@ -81,18 +82,6 @@ class SourceSpec(ByContent):
                 raise ValueError(f"{name} entries must be finite and nonnegative")
             t.flags.writeable = False
             object.__setattr__(self, name, t)
-
-    @property
-    def nx(self) -> int:
-        return self.pmf.sizes[0]
-
-    @property
-    def ny(self) -> int:
-        return self.pmf.sizes[1]
-
-    @property
-    def nz(self) -> int:
-        return self.pmf.sizes[2]
 
 
 @dataclass(frozen=True)
@@ -145,32 +134,31 @@ class RegionPoint:
 
 
 class _Setting:
-    """One setting's table, compiled to joint axis indices."""
+    """One setting's table, compiled to joint axis indices, which `axes` names.
+
+    A distortion term reads the source axis, then the reconstruction axis or
+    the map's inputs in the map table's order; `order` lines its table up with
+    the marginal on those axes, `keep`, whose axes ascend.
+    """
 
     def __init__(self, axes, factors, maps, rates, dists, budgets):
-        ax = {a: i for i, a in enumerate(axes.split())}
-
-        def idx(names):
-            return tuple(ax[a] for a in names.split())
-
-        self.ndim, self.budgets = len(ax), budgets
+        self._index = {a: i for i, a in enumerate(axes.split())}
+        self.ndim, self.budgets = len(self._index), budgets
         self.factors = {f: a.split() for f, a in factors.items()}
         self.maps = {g: a.split() for g, a in maps.items()}
-        self.factor_axes = ((0, 1, 2),) + tuple(idx(a) for a in factors.values())
-        self.rates = {r: tuple(map(idx, spec.split("|"))) for r, spec in rates.items()}
+        self.factor_axes = (self.axes("X Y Z"),) + tuple(map(self.axes, factors.values()))
+        self.rates = {r: tuple(map(self.axes, spec.split("|"))) for r, spec in rates.items()}
         self.dists = {d: spec.split() for d, spec in dists.items()}
-        self.terms = []  # (distortion, marginal axes, reconstruction, perm, post)
+        self.terms = []  # (distortion, map name or reconstruction axis, keep, order)
         for d, (source, recon) in self.dists.items():
-            if recon in ax:  # a joint axis, read directly
-                self.terms.append((d, (ax[source], ax[recon]), ax[recon], None, None))
-                continue
-            inputs = idx(maps[recon])
-            keep = tuple(sorted({ax[source], *inputs}))
-            pos = keep.index(ax[source])
-            # table[:, g] puts the source axis first; move it to its joint place
-            post = (*range(1, pos + 1), 0, *range(pos + 1, len(keep))) if pos else None
-            perm = tuple(sorted(range(len(inputs)), key=inputs.__getitem__))
-            self.terms.append((d, keep, recon, perm, post))
+            read = self.axes(source) + self.axes(maps.get(recon, recon))
+            order = tuple(sorted(range(len(read)), key=read.__getitem__))
+            recon = recon if recon in maps else read[1]  # a map name, or the joint axis
+            self.terms.append((d, recon, tuple(sorted(read)), order))
+
+    def axes(self, names):
+        """Joint axis indices of space-separated axis names, in the order named."""
+        return tuple(self._index[a] for a in names.split())
 
     def joint(self, tables):
         """Joint pmf of the source pmf and the factor tables, in factor order."""
@@ -186,13 +174,9 @@ class _Setting:
         joint = self.joint(tables)
         batched = joint.ndim > self.ndim
         out = {r: _cmi(joint, *axes, batched) for r, axes in self.rates.items()}
-        for d, keep, recon, perm, post in self.terms:
-            if perm is None:
-                sel = dists[d][:, : joint.shape[recon + batched]]
-            else:
-                sel = dists[d][:, maps[recon].transpose(perm)]
-                sel = sel if post is None else sel.transpose(post)
-            terms = _marginal(joint, keep, batched) * sel
+        for d, recon, keep, order in self.terms:
+            cols = maps[recon] if recon in maps else slice(joint.shape[recon + batched])
+            terms = _marginal(joint, keep, batched) * dists[d][:, cols].transpose(order)
             out[d] = terms.reshape(len(terms), -1).sum(axis=1) if batched else float(terms.sum())
         return out
 
@@ -256,6 +240,14 @@ def _refuse_nan(**targets):
             raise ValueError(f"{name} must be a number, got {value}")
 
 
+def _refuse_counts(least, **counts):
+    for name, value in counts.items():
+        if not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
 def evaluate_point(setting: str, src: SourceSpec, aux: AuxiliarySystem) -> RegionPoint:
     """Check `aux` against a setting of `_SETTINGS`, then evaluate it exactly."""
     if setting not in _SETTINGS:
@@ -303,7 +295,7 @@ def _g2_best_response(pxyz, p_u, d2, m_xzu=None):
     marginal of their joint, when the caller has built it.
     """
     if m_xzu is None:
-        m_xzu = _marginal(_CASCADE.joint((pxyz, p_u)), (0, 2, 3), p_u.ndim > 3)
+        m_xzu = _marginal(_CASCADE.joint((pxyz, p_u)), _CASCADE.axes("X Z U"), p_u.ndim > 3)
     cost = np.einsum("...xzu,xh->...uzh", m_xzu, d2)
     return np.argmin(cost, axis=-1)  # (U, Z)
 
@@ -608,14 +600,14 @@ _EG_ETA = 0.5
 
 @functools.lru_cache(maxsize=256)
 def _anchor(src: SourceSpec, u_size: int, d1_target: float):
-    """(p(xhat1|x,y,u), g2, quantities) of the constant-U auxiliary, arrays read-only."""
+    """(p_u, p(xhat1|x,y,u), g2, quantities) of the constant-U auxiliary, arrays read-only."""
     pxyz = src.pmf.probs
     p_u = np.zeros(src.pmf.sizes[:2] + (u_size,))
     p_u[:, :, 0] = 1.0
     g2 = _g2_best_response(pxyz, p_u, src.d2)
     xhat1 = _xhat1_rd_solve(pxyz, p_u, src.d1, d1_target)
-    xhat1.flags.writeable = g2.flags.writeable = False
-    return xhat1, g2, _cascade_quantities(pxyz, p_u, xhat1, g2, src.d1, src.d2)
+    p_u.flags.writeable = xhat1.flags.writeable = g2.flags.writeable = False
+    return p_u, xhat1, g2, _cascade_quantities(pxyz, p_u, xhat1, g2, src.d1, src.d2)
 
 
 @dataclass(frozen=True)
@@ -658,18 +650,17 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
     Otherwise the restarts run exactly as without the candidate (`path`
     "search").
 
-    The anchor (its relay channel, g2 and quantities) depends on the source's
-    content, u_size and d1_target alone; the relay floor uses its channel, or
-    the |U| = 1 anchor's at d2_target when d1_target > d2_target. `_anchor`
-    keeps the 256 most recently used, so a query that repeats one (a sweep
-    over r2 or d2) skips its solve; every answer is bit-identical to a cold
-    one. A NaN target is refused by name; infinite ones are valid.
+    The anchor (its p_u, relay channel, g2 and quantities) depends on the
+    source's content, u_size and d1_target alone; the relay floor uses its
+    channel, or the |U| = 1 anchor's at d2_target when d1_target > d2_target.
+    `_anchor` keeps the 256 most recently used, so a query that repeats one
+    (a sweep over r2 or d2) skips its solve; every answer is bit-identical to
+    a cold one. A NaN target, and a u_size, restarts or seed that is no
+    integer or out of range, are refused by name; infinite targets are valid.
     """
+    _refuse_counts(1, u_size=u_size)
+    _refuse_counts(0, restarts=restarts, seed=seed)
     nx, ny, nz = src.pmf.sizes
-    if u_size < 1:
-        raise ValueError(f"u_size must be at least 1, got {u_size}")
-    if restarts < 0:
-        raise ValueError(f"restarts must be nonnegative, got {restarts}")
     _budget(_CASCADE.budgets["U"]({"X": nx, "Y": ny}), u_size, "U")
     _refuse_nan(d1_target=d1_target, d2_target=d2_target, r2_budget=r2_budget)
     if d2_target <= 0 or d1_target < 0 or r2_budget < 0:
@@ -708,15 +699,13 @@ def min_r1_cascade_search(src: SourceSpec, d1_target: float, d2_target: float,
         return r1
 
     # constant-U anchor: exact for the d2-slack regime
-    p_u_const = np.zeros((nx, ny, u_size))
-    p_u_const[:, :, 0] = 1.0
-    xhat1_const, g2_const, vals = _anchor(src, u_size, d1_target)
-    consider(p_u_const, xhat1_const, g2_const, vals)
+    anchor = _anchor(src, u_size, d1_target)
+    consider(*anchor)
 
     # relay floor: optimal whenever it meets the query (see above)
     path = "search"
     if n_hat1 <= u_size and np.array_equal(src.d1, src.d2):
-        w = xhat1_const if d1_target <= d2_target else _anchor(src, 1, d2_target)[0]
+        w = (anchor if d1_target <= d2_target else _anchor(src, 1, d2_target))[1]
         p_u, p_xhat1 = _relay_floor(pxyz, w[:, :, 0], u_size, r2_budget)
         floor_r1 = consider(p_u, p_xhat1, _g2_best_response(pxyz, p_u, src.d2))
         if best is not None and best[-1][0] <= floor_r1 + 1e-12:
@@ -841,6 +830,7 @@ def brute_force_region_oracle(src: SourceSpec, u_size: int, resolution: int):
     the best response. resolution=1 is the uninformative anchor (constant U,
     best-constant reconstructions) only. Deterministic enumeration order.
     """
+    _refuse_counts(1, u_size=u_size, resolution=resolution)
     nx, ny, nz = src.pmf.sizes
     if nx > 2 or ny > 2 or nz > 2:
         raise ResourceLimitError("oracle is limited to binary source alphabets")
@@ -856,14 +846,16 @@ def oracle_min_r1(src: SourceSpec, u_size: int, resolution: int,
                   d1_target: float, d2_target: float, r2_budget: float):
     """Least r1 among enumerated points meeting the query; None if none do.
 
-    A NaN target is refused by name. The points are the rows of one table,
-    built on the first query and kept for the next ones: `_oracle_table`
-    keeps the most recent one, keyed by the source's content, u_size and
-    resolution, so a source read back from its file reuses it. It holds at
-    most _MAX_ORACLE_POINTS rows of 32 bytes (32 MiB); the doubly symmetric
-    source at |U| = 2, resolution 5 has 6480 (207 KB).
+    A NaN target, or a u_size or resolution that is no integer or below 1, is
+    refused by name before any table is looked up. The points are the rows
+    of one table, built on the first query and kept for the next ones:
+    `_oracle_table` keeps the most recent one, keyed by the source's content,
+    u_size and resolution, so a source read back from its file reuses it. It
+    holds at most _MAX_ORACLE_POINTS rows of 32 bytes (32 MiB); the doubly
+    symmetric source at |U| = 2, resolution 5 has 6480 (207 KB).
     """
     _refuse_nan(d1_target=d1_target, d2_target=d2_target, r2_budget=r2_budget)
+    _refuse_counts(1, u_size=u_size, resolution=resolution)
     r1, r2, d1v, d2v = _oracle_table(src, u_size, resolution).T
     ok = (r2 <= r2_budget + 1e-9) & (d1v <= d1_target + 1e-9) & (d2v <= d2_target + 1e-9)
     return float(r1[ok].min()) if ok.any() else None
@@ -875,9 +867,6 @@ def _oracle_table(src: SourceSpec, u_size: int, resolution: int) -> np.ndarray:
 
     The most recent table is kept (see `oracle_min_r1`); a refusal keeps nothing.
     """
-    for name, value in (("u_size", u_size), ("resolution", resolution)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
     nx, ny, _ = src.pmf.sizes
     # lattice rows per (x, y) cell, to the power of the cells, times the maps
     n = 1 if resolution == 1 else (math.comb(u_size + resolution - 1, resolution) ** (nx * ny)
@@ -942,7 +931,7 @@ def _enumerate_oracle_points(src: SourceSpec, u_size: int, resolution: int):
         joint_u = _CASCADE.joint((pxyz, p_u))
         rates = {r: _cmi(joint_u, *axes, True) for r, axes in _CASCADE.rates.items()}
         r1_base, r2 = rates["r1"], rates["r2"]
-        m_xzu = _marginal(joint_u, (0, 2, 3), True)
+        m_xzu = _marginal(joint_u, _CASCADE.axes("X Z U"), True)
         g2 = _g2_best_response(pxyz, p_u, src.d2, m_xzu)  # (B, U, Z)
         sel = src.d2[np.arange(nx)[:, None, None], g2.transpose(0, 2, 1)[:, None]]
         d2v = (m_xzu * sel).reshape(len(p_u), -1).sum(axis=1)
@@ -951,7 +940,7 @@ def _enumerate_oracle_points(src: SourceSpec, u_size: int, resolution: int):
         cost = np.einsum("bxyu,xh->byuh", pxyu, src.d1)
         d1_zero = cost.min(axis=-1).reshape(len(p_u), -1).sum(axis=1)
         # per-symbol deterministic reconstructions f(x)
-        extra = _cmi_fx(_marginal(joint_u, (0, 1, 3), True), fmaps, n_hat1)  # (B, F)
+        extra = _cmi_fx(_marginal(joint_u, _CASCADE.axes("X Y U"), True), fmaps, n_hat1)
         points = np.empty((len(p_u), 1 + len(fmaps), 4))
         points[:, 0] = np.stack([r1_base, r2, d1_zero, d2v], axis=-1)
         points[:, 1:, 0] = r1_base[:, None] + extra

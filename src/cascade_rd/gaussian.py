@@ -207,8 +207,6 @@ class ForwardSolution:
 
 def _min_r1(src: GaussianCascadeSource, d1: float, d2_eff: float, r2: float):
     va, vb = src.var_a, src.var_b
-    if va == 0.0:
-        return ForwardSolution(0.0, GaussianAux(0.0, 0.0, 1.0), "const_u")
     k = va + vb - d2_eff
     r1_d1 = _threshold(va, d1)
     if k <= 0:
@@ -216,7 +214,10 @@ def _min_r1(src: GaussianCascadeSource, d1: float, d2_eff: float, r2: float):
         return ForwardSolution(r1_d1, GaussianAux(0.0, 0.0, 1.0), "const_u")
     t = 2.0 ** (2.0 * r2)
     ok0, beta0 = _feasible(va, vb, k, t, 0.0)
-    if ok0:
+    # va = 0: the callers' threshold check is the beta-only test t >= vb/d2_eff
+    # to 1e-12 bits, which `_feasible` can refuse at large variances; beta-only
+    # answers, so `_boundary_alpha`, which divides by va, is never reached
+    if ok0 or va == 0.0:
         return ForwardSolution(r1_d1, GaussianAux(0.0, beta0, 1.0), "beta_only")
 
     alpha, beta, branch = _boundary_alpha(va, vb, k, t, d2_eff)

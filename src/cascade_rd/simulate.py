@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .discrete import _CASCADE, AuxiliarySystem, SourceSpec, evaluate_point
+from .discrete import _CASCADE, AuxiliarySystem, SourceSpec, _refuse_counts, evaluate_point
 from .errors import ResourceLimitError
 from .probability import DeterministicMap
 from .probability import cmi as _cmi, marginal as _marginal
@@ -149,49 +149,45 @@ def build_cascade_code(src: SourceSpec, aux: AuxiliarySystem,
     if not 0 <= seed < 2**63:  # xhat1_book hashes it as 8 signed bytes
         raise ValueError(f"seed must lie in [0, 2^63), got {seed}")
     point = evaluate_point("cascade", src, aux)
-    # axes (X, Y, Z, U, Xhat1)
     joint = _CASCADE.joint((src.pmf.probs, aux.p_u.table, aux.p_xhat1.table))
-    nx, ny, nz, nu, nh = joint.shape
-    rate_l = _cmi(joint, (3,), (0, 1)) + delta
-    rate_10 = _cmi(joint, (3,), (0,), (1,)) + 2 * delta
-    rate_11 = _cmi(joint, (4,), (0,), (3, 1)) + delta
+    ax = _CASCADE.axes
+    rate_l = _cmi(joint, ax("U"), ax("X Y")) + delta
+    rate_10 = _cmi(joint, ax("U"), ax("X"), ax("Y")) + 2 * delta
+    rate_11 = _cmi(joint, ax("Xhat1"), ax("X"), ax("U Y")) + delta
     rate_2 = point.r2 + 2 * delta
 
     n = tp.n
-    for label, rate in (("2^(n R_l)", rate_l), ("2^(n R_10)", rate_10),
-                        ("2^(n R_11)", rate_11), ("2^(n R_2)", rate_2)):
+    rates = (rate_l, rate_10, rate_11, rate_2)
+    for label, rate in zip(("R_l", "R_10", "R_11", "R_2"), rates):
         if _ceil_pow2(n, rate) > CODEWORD_CAP:
             raise ResourceLimitError(
-                f"{label} = 2^{math.ceil(n * rate)} exceeds the cap 2^20"
-            )
-    n_codewords = _ceil_pow2(n, rate_l)
-    n_bins1 = _ceil_pow2(n, rate_10)
-    n_bins2 = _ceil_pow2(n, rate_2)
-    n_xhat1 = _ceil_pow2(n, rate_11)
+                f"2^(n {label}) = 2^{math.ceil(n * rate)} exceeds the cap 2^20")
+    n_codewords, n_bins1, n_xhat1, n_bins2 = (_ceil_pow2(n, rate) for rate in rates)
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
-    codebook = _draw_symbols(rng, joint.sum(axis=(0, 1, 2, 4)), (n_codewords, n))
+    codebook = _draw_symbols(rng, _marginal(joint, ax("U")), (n_codewords, n))
     bins1 = rng.integers(0, n_bins1, size=n_codewords, dtype=np.int64)
     bins2 = rng.integers(0, n_bins2, size=n_codewords, dtype=np.int64)
 
     # p(xhat1 | u, y) induced by the auxiliary: marginalize x out of the joint
-    m_yuh = joint.sum(axis=(0, 2))  # (Y, U, Xhat1)
+    m_yuh = _marginal(joint, ax("Y U Xhat1"))
     denom = np.maximum(m_yuh.sum(axis=-1, keepdims=True), 1e-300)
     p_xhat1_given_uy = (m_yuh / denom).transpose(1, 0, 2)  # (U, Y, Xhat1)
 
     # per scan, the joint axes whose symbols it combines, most significant first
-    scans = {"xy": (0, 1), "uxy": (3, 0, 1), "uxyz": (3, 0, 1, 2),
-             "huxy": (4, 3, 0, 1), "uy": (3, 1), "uz": (3, 2)}
+    scans = {"xy": "X Y", "uxy": "U X Y", "uxyz": "U X Y Z",
+             "huxy": "Xhat1 U X Y", "uy": "U Y", "uz": "U Z"}
     eps = tp.epsilon
     bounds = {}
-    for key, axes in scans.items():
+    for key, names in scans.items():
+        axes = ax(names)
         order = tuple(sorted(axes).index(a) for a in axes)
         flat = _marginal(joint, axes).transpose(order).ravel()
         bounds[key] = (n * flat * (1.0 - eps), n * flat * (1.0 + eps))
     return CascadeCode(
         n=n, epsilon=eps, seed=seed,
         rate_l=rate_l, rate_10=rate_10, rate_11=rate_11, rate_2=rate_2,
-        sizes=(nx, ny, nz, nu, nh),
+        sizes=tuple(joint.shape[a] for a in ax("X Y Z U Xhat1")),
         codebook=codebook, bins1=bins1, bins2=bins2,
         n_bins1=n_bins1, n_bins2=n_bins2, n_xhat1=n_xhat1,
         p_xhat1_given_uy=p_xhat1_given_uy, bounds=bounds,
@@ -347,8 +343,8 @@ def _ci95(values: np.ndarray) -> float:
 def run_simulation(src: SourceSpec, aux: AuxiliarySystem, tp: TypicalityParams,
                    delta: float, trials: int, seed: int) -> SimResult:
     """Full pipeline over i.i.d. source triples; deterministic given seed."""
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1, got {trials}")
+    _refuse_counts(1, trials=trials)
+    _refuse_counts(0, seed=seed)
     code = build_cascade_code(src, aux, tp, delta, seed)
     nx, ny, nz = code.sizes[:3]
     n = code.n

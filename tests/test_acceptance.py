@@ -37,10 +37,9 @@ from cascade_rd.probability import (
     kaspi_lemma_check,
 )
 from cascade_rd.simulate import TypicalityParams, run_simulation
+from fixtures import HAMMING, binary_markov_source, h2, ident_source, rand_cond
 from oracles import gaussian_min_r1_oracle
 from test_probability import kaspi_violation_values
-
-HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def sample_feasible_instance(rng):
@@ -79,17 +78,6 @@ def test_criterion_2_closed_form_degenerate_cases():
         expect = max(0.5 * math.log2(va / d1), 0.0)
         assert abs(sol.r1 - expect) <= 1e-9
     print("\nACCEPTANCE 2 PASS")
-
-
-def rand_cond(rng, ins, out):
-    return CondPMF(rng.dirichlet(np.ones(out), size=ins))
-
-
-def binary_markov_source(rng, d3=False):
-    pmf = compose_markov_chain(
-        rng.dirichlet(np.ones(2)), rand_cond(rng, (2,), 2), rand_cond(rng, (2,), 2)
-    )
-    return SourceSpec(pmf, HAMMING, HAMMING, d3=HAMMING if d3 else None)
 
 
 def test_criterion_3_reduction_lattice():
@@ -236,17 +224,6 @@ def test_criterion_6_kaspi_lemma():
     assert hits >= 0.9 * trials
     print(f"\nACCEPTANCE 6 PASS (worst identity {worst:.2e}, "
           f"control hits {hits}/{trials})")
-
-
-def ident_source():
-    pxyz = np.zeros((2, 2, 1))
-    pxyz[0, 0, 0] = 0.5
-    pxyz[1, 1, 0] = 0.5
-    return SourceSpec(JointPMF(pxyz), HAMMING, HAMMING)
-
-
-def h2(p):
-    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
 def test_criterion_7_discrete_search_vs_oracle():

@@ -367,6 +367,30 @@ def test_non_finite_config_value_and_sweep_bound_are_rejected(tmp_path, capsys):
     assert "'r2'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, sweep, message", [
+    ("gaussian-cascade", "r2:lin:1:2", "sweep must be 'param:lin|log:min:max:steps'"),
+    ("discrete-search", "source:lin:0:1:3", "sweep parameter 'source' not a numeric parameter "
+     "of this command (have ['d1', 'd2', 'r2', 'restarts', 'u-size'])"),
+    ("gaussian-cascade", "r2:exp:1:2:3", "sweep scale must be lin or log, got 'exp'"),
+    ("gaussian-cascade", "r2:lin:1:2:0", "sweep needs at least one step"),
+    ("gaussian-cascade", "r2:log:0:2:3", "log sweep bounds must be positive"),
+])
+def test_malformed_sweep_is_refused_with_its_message(command, sweep, message, capsys):
+    flags = [f"--{k}={v}" for k, v in GAUSS_CASCADE.items() if k != "r2"]
+    assert main([command] + (flags if command == "gaussian-cascade" else [])
+                + ["--sweep", sweep]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_one_step_sweep_writes_one_row_at_its_lower_bound(tmp_path):
+    out = tmp_path / "r.csv"
+    flags = [f"--{k}={v}" for k, v in GAUSS_CASCADE.items() if k != "r2"]
+    assert main(["gaussian-cascade"] + flags + ["--sweep", "r2:log:1.5:4:1",
+                                                "--out", str(out)]) == 0
+    rows = read_rows(out)
+    assert [(row["r2"], row["status"]) for row in rows] == [("1.5", "ok")]
+
+
 def _provenance(path):
     return dict(ln[2:].split(": ", 1) for ln in path.read_text().splitlines()
                 if ln.startswith("# "))

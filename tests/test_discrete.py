@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,31 +29,11 @@ from cascade_rd.probability import (
     cmi,
     compose_markov_chain,
     joint,
+    write_block,
 )
+from fixtures import HAMMING, binary_markov_source, bsc_aux, h2, ident_source, rand_cond
 from oracles import blend_to_rate_bisection
 from test_golden_search import DSBS, bsc, digest, dsbs_source, ternary_source
-
-HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def rand_cond(rng, ins, out):
-    return CondPMF(rng.dirichlet(np.ones(out), size=ins))
-
-
-def binary_markov_source(rng, d3=False):
-    px = rng.dirichlet(np.ones(2))
-    pyx = rand_cond(rng, (2,), 2)
-    pzy = rand_cond(rng, (2,), 2)
-    pmf = compose_markov_chain(px, pyx, pzy)
-    return SourceSpec(pmf, HAMMING, HAMMING, d3=HAMMING if d3 else None)
-
-
-def ident_source():
-    # Y = X uniform binary, Z constant
-    pxyz = np.zeros((2, 2, 1))
-    pxyz[0, 0, 0] = 0.5
-    pxyz[1, 1, 0] = 0.5
-    return SourceSpec(JointPMF(pxyz), HAMMING, HAMMING)
 
 
 def random_cascade_aux(rng, nu=3):
@@ -439,10 +421,6 @@ def test_search_infeasible_distortion():
                               r2_budget=1.0, u_size=2)
 
 
-def h2(p):
-    return -p * np.log2(p) - (1 - p) * np.log2(1 - p)
-
-
 # (d1, d2, r2, restarts) on acceptance 7's instance B. The first six bind d2
 # or couple the relay and the terminal, the last two have few restarts; the
 # restarts alone answer none of them.
@@ -481,6 +459,46 @@ def test_search_and_oracle_refuse_a_nan_target_by_name_before_any_solve(monkeypa
         oracle_min_r1(dsbs_source(), 2, 5, **query)
     assert calls == [] and discrete._anchor.cache_info().currsize == 0
     assert discrete._oracle_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("name, value", [("u_size", 2.5), ("restarts", 1.5), ("seed", 1.5)])
+def test_search_refuses_a_count_that_is_no_integer_by_name_before_any_solve(monkeypatch,
+                                                                            name, value):
+    # each raised a bare TypeError on a query the restarts answer (d2 is not
+    # d1's table there), and restarts 1.5 was accepted where the relay floor
+    # answered
+    calls = []
+    monkeypatch.setattr(discrete, "_xhat1_rd_solve", lambda *args: calls.append(args))
+    search_path = SourceSpec(dsbs_source().pmf, HAMMING, [[0.0, 1.0, 0.3], [1.0, 0.0, 0.3]])
+    counts = dict({"u_size": 2, "restarts": 2, "seed": 0}, **{name: value})
+    for src in (dsbs_source(), search_path):
+        with pytest.raises(ValueError) as exc:
+            min_r1_cascade_search(src, 0.1, 0.2, 0.4, **counts)
+        assert str(exc.value) == f"{name} must be an integer, got {value}"
+    assert calls == [] and discrete._anchor.cache_info().currsize == 0
+
+
+ORACLE_COUNTS = [("u_size", 2.5), ("resolution", 2.5), ("u_size", 2.0)]
+
+
+@pytest.mark.parametrize("name, value", ORACLE_COUNTS)
+def test_oracle_refuses_a_count_that_is_no_integer_by_name_before_any_lookup(name, value):
+    # 2.5 raised a bare TypeError; 2.0 hashes as 2, so it read the table kept for 2
+    src = dsbs_source()
+    oracle_min_r1(src, 2, 5, 0.1, 0.3, 0.4)
+    with pytest.raises(ValueError) as exc:
+        oracle_min_r1(src, **dict({"u_size": 2, "resolution": 5}, **{name: value}),
+                      d1_target=0.1, d2_target=0.3, r2_budget=0.4)
+    assert str(exc.value) == f"{name} must be an integer, got {value}"
+
+
+@pytest.mark.parametrize("name, value", ORACLE_COUNTS)
+def test_frontier_refuses_a_count_that_is_no_integer_by_name_before_any_lookup(name, value):
+    src = dsbs_source()
+    brute_force_region_oracle(src, 2, 5)
+    with pytest.raises(ValueError) as exc:
+        brute_force_region_oracle(src, **dict({"u_size": 2, "resolution": 5}, **{name: value}))
+    assert str(exc.value) == f"{name} must be an integer, got {value}"
 
 
 def test_search_takes_infinite_targets():
@@ -709,7 +727,7 @@ def test_kept_anchors_and_relay_channels_stay_within_their_cap():
 
 def test_kept_arrays_are_read_only():
     src = dsbs_source()
-    arrays = [*discrete._anchor(src, 2, 0.1)[:2], *discrete._anchor(src, 1, 0.1)[:2],
+    arrays = [*discrete._anchor(src, 2, 0.1)[:3], *discrete._anchor(src, 1, 0.1)[:3],
               discrete._oracle_table(src, 2, 3)]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -807,6 +825,49 @@ def test_repeated_block_is_refused_by_name():
     with pytest.raises(ValueError, match="'g2' appears more than once"):
         load_aux(aux_text + g2_block)
 
+
+def _two_way_aux():
+    """bsc_aux's cascade channels plus a constant backward description for Z."""
+    return dataclasses.replace(bsc_aux(0.25), p_u2=CondPMF(np.ones((1, 2, 1))),
+                               g3=DeterministicMap(np.zeros((2, 1, 2, 2), dtype=int), 2))
+
+
+NAN_D1 = np.array([[0.0, np.nan], [1.0, 0.0]])
+IDENT_PMF = ident_source().pmf
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: evaluate_point("cascade", ident_source(),
+                                        dataclasses.replace(bsc_aux(0.25), g2=None)),
+                 "auxiliary system is missing ['g2'] for this setting", id="missing-channel"),
+    pytest.param(lambda: evaluate_point("two-way-cascade", ident_source(), _two_way_aux()),
+                 "two-way settings need the d3 distortion table", id="two-way-without-d3"),
+    pytest.param(lambda: evaluate_point("cascade", ident_source(), dataclasses.replace(
+        bsc_aux(0.25), g2=DeterministicMap(np.zeros((2, 2), dtype=int), 2))),
+                 "g2 must map (2, 1) onto 2 symbols, got (2, 2) -> 2", id="g2-input-shape"),
+    pytest.param(lambda: evaluate_point("cascade", ident_source(), dataclasses.replace(
+        bsc_aux(0.25), g2=DeterministicMap(np.zeros((2, 1), dtype=int), 3))),
+                 "g2 must map (2, 1) onto 2 symbols, got (2, 1) -> 3", id="g2-output-size"),
+    pytest.param(lambda: SourceSpec(JointPMF(np.full((2, 2), 0.25)), HAMMING, HAMMING),
+                 "source pmf must have exactly the variables (X, Y, Z)", id="two-variable-pmf"),
+    pytest.param(lambda: SourceSpec(IDENT_PMF, np.zeros((3, 2)), HAMMING),
+                 "d1 must be a (2, n_hat) table", id="d1-rows"),
+    pytest.param(lambda: SourceSpec(IDENT_PMF, -HAMMING, HAMMING),
+                 "d1 entries must be finite and nonnegative", id="d1-negative"),
+    pytest.param(lambda: SourceSpec(IDENT_PMF, NAN_D1, HAMMING),
+                 "d1 entries must be finite and nonnegative", id="d1-nan"),
+    pytest.param(lambda: load_source_spec(write_block("pmf", "jointpmf", IDENT_PMF.probs)
+                                          + write_block("d1", "dtable", HAMMING)),
+                 "source spec needs pmf, d1 and d2 blocks", id="source-without-d2"),
+    pytest.param(lambda: load_aux(write_block("p_w", "dtable", HAMMING)),
+                 "unknown auxiliary field 'p_w'", id="aux-unknown-field"),
+    pytest.param(lambda: load_aux(write_block("p_u", "dtable", HAMMING)),
+                 "auxiliary field 'p_u' has unsupported kind 'dtable'", id="aux-dtable"),
+])
+def test_malformed_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 # ----------------------------------------------------------------- batching

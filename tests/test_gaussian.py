@@ -499,6 +499,45 @@ def test_r2_on_the_threshold_without_b_is_answered():
     assert stats.var_s_given_u <= d2 * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("vb, d2", [(1.0, 0.5), (1e3, 999.9), (1.0, 0.999), (1.0, 1.5)])
+def test_forward_programs_without_a_meet_d2_with_their_own_auxiliary(vb, d2):
+    # var_a = 0 returned (alpha, beta) = (0, 0) before D2 was checked, so
+    # Var(A+B|U) = var_b > d2; with only that return deleted, (1e3, 999.9) at
+    # r2 = thr - 1e-12 divided by var_a = 0 in the boundary solve
+    src = GaussianCascadeSource(0.0, vb, 1.0)
+    thr = 0.5 * math.log2(max(vb / d2, 1.0))
+    for r2 in (max(thr - 1e-12, 0.0), thr, thr + 0.5):
+        for sol in (cascade_min_r1(src, 0.25, d2, r2),
+                    triangular_min_r1(src, 0.25, d2 / 4, r2, 1.0),  # d2_eff = d2
+                    two_way_triangular_min_r1(src, 0.25, d2, 0.3, r2, 0.0, 5.0)):
+            stats = aux_stats(src, sol.aux)
+            assert (sol.r1, sol.branch) == (0.0, "const_u" if vb <= d2 else "beta_only")
+            assert stats.rate_u <= r2 + 1e-12
+            assert stats.var_s_given_u <= d2 * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: cascade_min_r1(UNIT, 0.0, 0.5, 1.0), "d1 must be > 0, got 0.0",
+                 id="d1-zero"),
+    pytest.param(lambda: cascade_min_r1(UNIT, 0.25, 0.5, -1.0), "r2 must be >= 0, got -1.0",
+                 id="r2-negative"),
+    pytest.param(lambda: GaussianCascadeSource(0.0, 0.0, 0.0),
+                 "at least one variance must be positive", id="all-variances-zero"),
+    pytest.param(lambda: GaussianAux(1.0, 1.0, 0.0), "var_zstar must be positive",
+                 id="var_zstar-zero"),
+    pytest.param(lambda: extended_backward_achievability(
+        GaussianCascadeSource(1.0, 1.0, 0.0), 0.1, 0.1, 1.0, 1.0),
+        "source has Var(Z|Y) = 0; backward region is degenerate", id="backward-degenerate"),
+    pytest.param(lambda: extended_backward_region_check(
+        GaussianCascadeSource(1.0, 0.0, 1.0), (1.0, 1.0, 0.0), (0.1, 0.1)),
+        "source has Var(Z|Y) = 0; backward region is degenerate", id="region-degenerate"),
+])
+def test_out_of_range_input_is_refused_with_its_message(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 # ----------------------------------------------------------- non-finite input
 
 

@@ -19,8 +19,7 @@ import pytest
 
 from cascade_rd.discrete import SourceSpec, min_r1_cascade_search, oracle_min_r1
 from cascade_rd.probability import CondPMF, JointPMF, compose_markov_chain
-
-HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
+from fixtures import HAMMING, h2
 
 
 def bsc(q):
@@ -39,10 +38,6 @@ def ternary_source():
                                CondPMF(np.array([[0.85, 0.15], [0.2, 0.8], [0.5, 0.5]])),
                                CondPMF(bsc(0.25)))
     return SourceSpec(pmf, 1.0 - np.eye(3), 1.0 - np.eye(3))
-
-
-def h2(p):
-    return -p * math.log2(p) - (1 - p) * math.log2(1 - p)
 
 
 def digest(table):

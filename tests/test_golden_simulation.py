@@ -12,19 +12,11 @@ codewords pass a scan, to the codebook draw or to the RNG stream shows here.
 import numpy as np
 
 from cascade_rd.discrete import AuxiliarySystem, SourceSpec
-from cascade_rd.probability import CondPMF, DeterministicMap, JointPMF, compose_markov_chain
+from cascade_rd.probability import CondPMF, DeterministicMap, compose_markov_chain
 from cascade_rd.simulate import TypicalityParams, run_simulation
-
-HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
+from fixtures import bsc_aux, const_aux, ident_source
 FLOAT_FIELDS = ("epsilon", "delta", "d1_mean", "d2_mean", "d1_ci", "d2_ci",
                 "d1_mean_clean", "d2_mean_clean", "d1_ci_clean", "d2_ci_clean")
-
-
-def ident_source():
-    pxyz = np.zeros((2, 2, 1))
-    pxyz[0, 0, 0] = 0.5
-    pxyz[1, 1, 0] = 0.5
-    return SourceSpec(JointPMF(pxyz), HAMMING, HAMMING)
 
 
 def erasure_aux():
@@ -35,23 +27,6 @@ def erasure_aux():
     p_xhat1[:, :, 0, 0] = p_xhat1[:, :, 1, 1] = p_xhat1[:, :, 2, 0] = 1.0
     return AuxiliarySystem(p_u=CondPMF(p_u), p_xhat1=CondPMF(p_xhat1),
                            g2=DeterministicMap(np.array([[0], [1], [0]]), 2))
-
-
-def bsc_aux(q):
-    p_u = np.zeros((2, 2, 2))
-    p_u[0] = [1 - q, q]
-    p_u[1] = [q, 1 - q]
-    p_xhat1 = np.zeros((2, 2, 2, 2))
-    p_xhat1[:, :, 0, 0] = p_xhat1[:, :, 1, 1] = 1.0
-    return AuxiliarySystem(p_u=CondPMF(p_u), p_xhat1=CondPMF(p_xhat1),
-                           g2=DeterministicMap(np.array([[0], [1]]), 2))
-
-
-def const_aux():
-    p_xhat1 = np.zeros((2, 2, 1, 2))
-    p_xhat1[..., 0] = 1.0
-    return AuxiliarySystem(p_u=CondPMF(np.ones((2, 2, 1))), p_xhat1=CondPMF(p_xhat1),
-                           g2=DeterministicMap(np.zeros((1, 1), dtype=int), 2))
 
 
 def random_case(k, nx, ny, nz, nu):

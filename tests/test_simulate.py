@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from cascade_rd._kernels import is_typical, typical_mask
-from cascade_rd.discrete import AuxiliarySystem, SourceSpec, evaluate_point
+from cascade_rd.discrete import AuxiliarySystem, evaluate_point
 from cascade_rd.errors import ResourceLimitError
-from cascade_rd.probability import CondPMF, DeterministicMap, JointPMF
+from cascade_rd.probability import CondPMF, DeterministicMap
 from cascade_rd.simulate import (
     TypicalityParams,
     _draw_symbols,
@@ -17,28 +17,9 @@ from cascade_rd.simulate import (
     relay_node1,
     run_simulation,
 )
+from fixtures import bsc_aux, const_aux, ident_source
 from test_golden_search import dsbs_source
 from test_golden_simulation import erasure_aux
-
-HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def ident_source():
-    pxyz = np.zeros((2, 2, 1))
-    pxyz[0, 0, 0] = 0.5
-    pxyz[1, 1, 0] = 0.5
-    return SourceSpec(JointPMF(pxyz), HAMMING, HAMMING)
-
-
-def bsc_aux(q):
-    pu = np.zeros((2, 2, 2))
-    pu[0, :, :] = [1 - q, q]
-    pu[1, :, :] = [q, 1 - q]
-    pxh = np.zeros((2, 2, 2, 2))
-    pxh[:, :, 0, 0] = 1.0
-    pxh[:, :, 1, 1] = 1.0
-    return AuxiliarySystem(p_u=CondPMF(pu), p_xhat1=CondPMF(pxh),
-                           g2=DeterministicMap(np.array([[0], [1]]), 2))
 
 
 def y_blind_aux():
@@ -48,14 +29,6 @@ def y_blind_aux():
     pxh = np.broadcast_to(np.eye(2), (2, 1, 2, 2))
     return AuxiliarySystem(p_u=CondPMF(pu), p_xhat1=CondPMF(pxh),
                            g2=DeterministicMap(np.array([[0, 0], [1, 1]]), 2))
-
-
-def const_aux():
-    pu = np.ones((2, 2, 1))
-    pxh = np.zeros((2, 2, 1, 2))
-    pxh[:, :, :, 0] = 1.0
-    return AuxiliarySystem(p_u=CondPMF(pu), p_xhat1=CondPMF(pxh),
-                           g2=DeterministicMap(np.zeros((1, 1), dtype=int), 2))
 
 
 # ------------------------------------------------------------------- kernels
@@ -224,6 +197,16 @@ def test_build_refuses_a_seed_outside_63_bits_by_name(seed):
         run_simulation(src, aux, tp, delta=0.15, trials=2, seed=seed)
     res = run_simulation(src, aux, tp, delta=0.15, trials=2, seed=2**63 - 1)
     assert res.seed == 2**63 - 1
+
+
+@pytest.mark.parametrize("name, value", [("trials", 2.5), ("seed", 1.5)])
+def test_run_refuses_a_count_that_is_no_integer_by_name(name, value):
+    # each raised a bare TypeError, after the code was built
+    counts = dict({"trials": 2, "seed": 0}, **{name: value})
+    with pytest.raises(ValueError) as exc:
+        run_simulation(ident_source(), bsc_aux(0.25), TypicalityParams(epsilon=0.4, n=8),
+                       delta=0.15, **counts)
+    assert str(exc.value) == f"{name} must be an integer, got {value}"
 
 
 def test_build_zero_slack_constant_aux_single_codeword():
