@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import InfeasibleError, NumericDomainError
 
-# feasibility slack treated as zero, relative to the constraint scale
-_FEAS_REL_TOL = 1e-9
 # backward-region slack (bits) still counted as membership
 _REGION_TOL = 1e-9
 
@@ -126,101 +124,58 @@ def conditional_variance(cov: np.ndarray, target: int, observed) -> float:
 # -------------------------------------------------------- forward-link solver
 
 
-def _d2_slack(va: float, vb: float, k: float, t: float, alpha: float):
-    """Best achievable margin of the distortion constraint at fixed alpha.
-
-    Maximizes g(beta) = (alpha*va + beta*vb)^2 - k * var_u over the beta
-    interval allowed by the rate budget t = 2^(2 R2); g >= 0 iff
-    Var(A+B | U) <= d2. Returns (g_max, argmax beta), or (-inf, 0) when
-    alpha alone already busts the rate budget.
-    """
-    rem = t - 1.0 - alpha * alpha * va
-    if rem < 0:
-        return -math.inf, 0.0
-    if vb == 0.0:
-        g0 = (alpha * va) ** 2 - k * (alpha * alpha * va + 1.0)
-        return g0, 0.0
-    bmax = math.sqrt(rem / vb)
-
-    def g(beta):
-        return (alpha * va + beta * vb) ** 2 - k * (
-            alpha * alpha * va + beta * beta * vb + 1.0
-        )
-
-    cands = [-bmax, 0.0, bmax]
-    curv = vb - k
-    if curv < 0:
-        bv = alpha * va / (-curv)  # stationary point, only a max when concave
-        if -bmax <= bv <= bmax:
-            cands.append(bv)
-    best = max(cands, key=g)
-    return g(best), best
-
-
-def _feasible(va, vb, k, t, alpha):
-    gmax, beta = _d2_slack(va, vb, k, t, alpha)
-    tol = _FEAS_REL_TOL * max(1.0, abs(k) * t)
-    return gmax >= -tol, beta
-
-
-def _boundary_alpha(va, vb, k, t, d2_eff):
-    """(alpha, beta, branch): the smallest alpha with a feasible beta, in closed form.
-
-    There the distortion margin is zero, at a rate-tight beta (both tight:
-    a root of va*s*a^2 - 2*va*sqrt(k t)*a + k t - (t-1)*vb, s = va + vb) or
-    at the interior stationary beta (a^2 = (va - d2)/(va*d2), if va > d2).
-    The diagonal alpha = beta is the one feasible point with r2 on the
-    threshold, where rounding can lose the double root. Candidates are capped
-    at the largest alpha the rate budget admits; the smallest that
-    `_feasible` accepts is returned.
-    """
-    s = va + vb
-    cap = math.sqrt((t - 1.0) / va)
-    while cap * cap * va > t - 1.0:
-        cap = math.nextafter(cap, 0.0)
-    h = va * math.sqrt(k * t)
-    c = k * t - (t - 1.0) * vb
-    cands = [(math.sqrt((s / d2_eff - 1.0) / s), "both_tight")]  # the diagonal
-    disc = h * h - va * s * c
-    if disc >= 0:
-        big = h + math.sqrt(disc)  # h > 0: the cancellation-free pair of roots
-        cands += [(big / (va * s), "both_tight"), (abs(c / big), "both_tight")]
-    if va > d2_eff:
-        cands.append((math.sqrt((va - d2_eff) / (va * d2_eff)), "stationary"))
-    for alpha, branch in sorted((min(a, cap), br) for a, br in cands):
-        ok, beta = _feasible(va, vb, k, t, alpha)
-        if ok:
-            return alpha, beta, branch
-    raise InfeasibleError(
-        "no feasible auxiliary found for (d2, r2)",
-        threshold=_threshold(s, d2_eff),
-    )
-
-
 @dataclass(frozen=True)
 class ForwardSolution:
     r1: float
     aux: GaussianAux
-    branch: str  # const_u, beta_only, both_tight or stationary (_boundary_alpha)
+    branch: str  # const_u, beta_only, stationary or both_tight (_min_r1)
     r4_threshold: float | None = None
 
 
 def _min_r1(src: GaussianCascadeSource, d1: float, d2_eff: float, r2: float):
+    """Least R1 over U = alpha*A + beta*B + Z*, Var(Z*) = 1, in closed form.
+
+    R1 = max(1/2 log2(va/d1), 1/2 log2(1 + alpha^2 va)), so the program seeks
+    the least |alpha| with alpha^2 va + beta^2 vb <= t - 1, t = 2^(2 R2), and
+    Var(A+B | U) <= d2. Whiten: a = alpha sqrt(va), b = beta sqrt(vb), r^2 =
+    a^2 + b^2, and phi the angle of (a, b) from (sqrt(va), sqrt(vb)). With
+    s = va + vb and k = s - d2, the budget is r^2 <= t - 1 and D2 holds iff
+    s cos^2(phi) r^2 >= k (r^2 + 1): a direction meets both iff cos^2(phi) >=
+    c = k t / (s (t - 1)), where the bound is tight at r^2 = t - 1. c <= 1 is
+    R2 >= 1/2 log2(s/d2), which the callers check to 1e-12 bits, so c is
+    clamped to 1 and no feasibility test is made here.
+    - beta_only: the B axis lies in that cone (vb >= c s, always when va = 0),
+      so alpha = 0 and beta spends the budget.
+    - stationary: else the least alpha meeting D2 at any rate, alpha^2 =
+      (va - d2)/(va d2) at beta = alpha va/(va - d2), if it fits the budget.
+    - both_tight: else the cone's edge nearer the B axis, at r^2 = t - 1; the
+      D2-tight curve has no lower |a| inside the cone, as its minimum (the
+      stationary point, if va > d2) lies beyond that edge.
+    """
     va, vb = src.var_a, src.var_b
-    k = va + vb - d2_eff
+    s = va + vb
+    k = s - d2_eff
     r1_d1 = _threshold(va, d1)
     if k <= 0:
         # distortion constraint slack: constant U is optimal
         return ForwardSolution(r1_d1, GaussianAux(0.0, 0.0, 1.0), "const_u")
     t = 2.0 ** (2.0 * r2)
-    ok0, beta0 = _feasible(va, vb, k, t, 0.0)
-    # va = 0: the callers' threshold check is the beta-only test t >= vb/d2_eff
-    # to 1e-12 bits, which `_feasible` can refuse at large variances; beta-only
-    # answers, so `_boundary_alpha`, which divides by va, is never reached
-    if ok0 or va == 0.0:
-        return ForwardSolution(r1_d1, GaussianAux(0.0, beta0, 1.0), "beta_only")
-
-    alpha, beta, branch = _boundary_alpha(va, vb, k, t, d2_eff)
+    c = 1.0 if k * t >= s * (t - 1.0) else k * t / (s * (t - 1.0))
+    if vb >= c * s:
+        return ForwardSolution(r1_d1, GaussianAux(0.0, -math.sqrt((t - 1.0) / vb), 1.0),
+                               "beta_only")
+    branch = "stationary"
+    if va > d2_eff:
+        alpha = math.sqrt((va - d2_eff) / (va * d2_eff))
+        beta = alpha * va / (va - d2_eff) if vb else 0.0
+    if va <= d2_eff or alpha * alpha * va + beta * beta * vb > t - 1.0:
+        branch = "both_tight"
+        # sqrt(c) - sqrt((1 - c) vb/va), without cancelling: c s > vb here
+        tilt = math.sqrt((1.0 - c) * vb / va)
+        alpha = math.sqrt((t - 1.0) / s) * (c * s - vb) / (va * (math.sqrt(c) + tilt))
+        while alpha * alpha * va > t - 1.0:
+            alpha = math.nextafter(alpha, 0.0)
+        beta = math.sqrt((t - 1.0 - alpha * alpha * va) / vb) if vb else 0.0
     r1 = max(r1_d1, 0.5 * math.log2(1.0 + alpha * alpha * va))
     return ForwardSolution(r1, GaussianAux(alpha, beta, 1.0), branch)
 
@@ -330,9 +285,9 @@ def extended_backward_region_check(src: GaussianCascadeSource,
         _check_arg(name, value)
     s = src.var_z_given_y
     _check_dz(dz1, dz2, s)
-    t1 = _rate(s, dz1)
-    t2 = _rate(s, min(dz1, dz2))
-    t3 = _rate(s, dz2)
+    t1 = _threshold(s, dz1)
+    t2 = _threshold(s, min(dz1, dz2))
+    t3 = _threshold(s, dz2)
     slacks = (r3 - t1, r3 + r5 - t2, r4 + r5 - t3)
     return RegionCheck(member=min(slacks) >= -_REGION_TOL, slacks=slacks)
 
@@ -388,10 +343,6 @@ def _w_diff(outer: float, inner: float) -> float:
     return max(0.0, outer - inner)
 
 
-def _rate(s: float, d: float) -> float:
-    return 0.5 * math.log2(s / d)
-
-
 def extended_backward_achievability(src: GaussianCascadeSource,
                                     dz1: float, dz2: float,
                                     r3: float, r4: float) -> BackwardConstruction:
@@ -406,10 +357,10 @@ def extended_backward_achievability(src: GaussianCascadeSource,
     _check_dz(dz1, dz2, s)
     _check_arg("r3", r3, 0.0)
     _check_arg("r4", r4, 0.0)
-    if r3 < _rate(s, dz1) - 1e-9:
+    if r3 < _threshold(s, dz1) - 1e-9:
         raise InfeasibleError(
-            f"violated: R3 >= 1/2 log2(s/D_Z1) = {_rate(s, dz1):g} bits",
-            threshold=_rate(s, dz1),
+            f"violated: R3 >= 1/2 log2(s/D_Z1) = {_threshold(s, dz1):g} bits",
+            threshold=_threshold(s, dz1),
         )
 
     if dz1 <= dz2:
@@ -419,9 +370,9 @@ def extended_backward_achievability(src: GaussianCascadeSource,
         q3 = _q_cumulative(dz2, s)  # U3 = U1 + W3
         q2 = _q_cumulative(d_prime, s)  # U2 = U3 + W2
         w1, w3, w2 = q1, _w_diff(q3, q1), _w_diff(q2, q3)
-        ach_r3 = _rate(s, dz1)
-        ach_r4 = _rate(s, d_prime)
-        ach_r5 = _rate(s, dz2) - ach_r4
+        ach_r3 = _threshold(s, dz1)
+        ach_r4 = _threshold(s, d_prime)
+        ach_r5 = _threshold(s, dz2) - ach_r4
         dist1, dist2 = _chain_distortion(src, q1), _chain_distortion(src, q3)
     else:
         case = 2 if r3 >= r4 else 3
@@ -433,12 +384,12 @@ def extended_backward_achievability(src: GaussianCascadeSource,
             d_dprime = min(max(s * 2.0 ** (-2.0 * r4), d_prime), s)
             q2 = _q_cumulative(d_dprime, s)  # U2 = U1 + W2
             w2 = _w_diff(q2, q1)
-            ach_r4 = _rate(s, d_dprime)
+            ach_r4 = _threshold(s, d_dprime)
         else:
             w2 = 0.0  # U2 = U1, so the R4 link reuses the R3 description
-            ach_r4 = _rate(s, d_prime)
-        ach_r3 = _rate(s, d_prime)
-        ach_r5 = _rate(s, dz2) - ach_r4
+            ach_r4 = _threshold(s, d_prime)
+        ach_r3 = _threshold(s, d_prime)
+        ach_r5 = _threshold(s, dz2) - ach_r4
         dist1, dist2 = _chain_distortion(src, q1), _chain_distortion(src, q3)
 
     return BackwardConstruction(

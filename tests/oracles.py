@@ -4,7 +4,7 @@ These deliberately re-derive everything from scratch so they share no search
 logic with the package solvers: the forward-rate oracle scans a dense alpha
 grid and decides per-alpha feasibility by intersecting the root interval of
 the distortion quadratic with the rate-budget interval (the solver instead
-maximizes the quadratic over candidate points and takes alpha in closed form).
+takes alpha and beta in closed form from the whitened program's geometry).
 The blend reference settles the search's garbling weight with one exact
 `cmi` on the blend's joint per bisection step.
 """

@@ -5,19 +5,15 @@ import hashlib
 import io
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cascade_rd import discrete
 from cascade_rd.cli import COMMANDS, ConfigError, build_parser, load_config, main
-from cascade_rd.discrete import (
-    AuxiliarySystem,
-    SourceSpec,
-    save_aux,
-    save_source_spec,
-)
-from cascade_rd.probability import CondPMF, DeterministicMap, JointPMF
+from cascade_rd.discrete import save_aux, save_source_spec
+from fixtures import bsc_aux, ident_source
 from test_golden_points import instance
 from test_golden_search import dsbs_source
 from test_simulate import y_blind_aux
@@ -25,26 +21,10 @@ from test_simulate import y_blind_aux
 
 @pytest.fixture
 def ident_files(tmp_path):
-    ham = np.array([[0.0, 1.0], [1.0, 0.0]])
-    pxyz = np.zeros((2, 2, 1))
-    pxyz[0, 0, 0] = 0.5
-    pxyz[1, 1, 0] = 0.5
-    src = SourceSpec(JointPMF(pxyz), ham, ham)
-    q = 0.25
-    pu = np.zeros((2, 2, 2))
-    pu[0, :, :] = [1 - q, q]
-    pu[1, :, :] = [q, 1 - q]
-    pxh = np.zeros((2, 2, 2, 2))
-    pxh[:, :, 0, 0] = 1.0
-    pxh[:, :, 1, 1] = 1.0
-    aux = AuxiliarySystem(
-        p_u=CondPMF(pu), p_xhat1=CondPMF(pxh),
-        g2=DeterministicMap(np.array([[0], [1]]), 2),
-    )
     src_path = tmp_path / "src.txt"
     aux_path = tmp_path / "aux.txt"
-    src_path.write_text(save_source_spec(src))
-    aux_path.write_text(save_aux(aux))
+    src_path.write_text(save_source_spec(ident_source()))
+    aux_path.write_text(save_aux(bsc_aux(0.25)))
     return str(src_path), str(aux_path)
 
 
@@ -273,7 +253,7 @@ def test_config_value_may_hold_a_hash(tmp_path, ident_files, monkeypatch):
     src, aux = ident_files
     run = tmp_path / "data" / "run#3"
     run.mkdir(parents=True)
-    (run / "src.txt").write_bytes(open(src, "rb").read())
+    (run / "src.txt").write_bytes(Path(src).read_bytes())
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# a comment line\nsource = data/run#3/src.txt  # trailing comment\n"
                    f"aux = {aux}\nsetting = cascade\n")
@@ -692,7 +672,7 @@ def _unknown_setting(tmp_path, src, aux):
 
 def _path_with_comma(tmp_path, src, aux):
     odd = tmp_path / 'a,"b".txt'
-    odd.write_bytes(open(src, "rb").read())
+    odd.write_bytes(Path(src).read_bytes())
     return (["discrete-eval", "--source", str(odd), "--aux", aux, "--setting", "cascade"], 0,
             "source", str(odd))
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from cascade_rd.gaussian import (
     triangular_min_r1,
     two_way_triangular_min_r1,
 )
-from cascade_rd.gaussian import _chain_distortion, _d2_slack, _feasible
+from cascade_rd.gaussian import _chain_distortion
 from oracles import _beta_window_feasible, gaussian_min_r1_oracle
 
 UNIT = GaussianCascadeSource(1.0, 1.0, 1.0)
@@ -445,25 +446,30 @@ def _forward_query(rng, i):
     return va, vb, d1, d2, r2
 
 
+def _answered_within_both_constraints(src, d1, d2, r2):
+    sol = cascade_min_r1(src, d1, d2, r2)
+    stats = aux_stats(src, sol.aux)
+    assert stats.rate_u <= r2 + 1e-12, sol
+    assert stats.var_s_given_u <= d2 * (1 + 1e-11), sol
+    return sol
+
+
 def test_boundary_alpha_is_minimal_and_matches_the_oracle():
-    # The returned alpha is feasible, and 1e-6 below it the exact margin of
-    # the distortion constraint is negative. (`_feasible` itself admits a
-    # band of 1e-9*k*t below the boundary; where the margin is tangent, as
-    # on the threshold, or grows slowly in alpha, the band reaches past a
-    # relative 1e-6.) On the threshold the feasible set is the single point
-    # alpha = beta = sqrt((s/d2 - 1)/s), which the oracle's grid cannot hit,
-    # so r1 is compared with that point instead.
+    # The returned auxiliary meets both constraints to rounding, and 1e-6
+    # below its alpha no beta meets D2 within the budget (the oracle's exact
+    # root-interval test, with no slack). On the threshold the feasible set is
+    # the single point alpha = beta = sqrt((s/d2 - 1)/s), which the oracle's
+    # grid cannot hit, so r1 is compared with that point instead.
     rng = np.random.default_rng(41)
     seen = {"beta_only": 0, "both_tight": 0, "stationary": 0}
     for i in range(500):
         va, vb, d1, d2, r2 = _forward_query(rng, i)
         s, k, t = va + vb, va + vb - d2, 2.0 ** (2.0 * r2)
-        sol = cascade_min_r1(GaussianCascadeSource(va, vb, 1.0), d1, d2, r2)
+        sol = _answered_within_both_constraints(GaussianCascadeSource(va, vb, 1.0), d1, d2, r2)
         seen[sol.branch] += 1
         alpha = sol.aux.alpha
         if alpha > 0:
-            assert _feasible(va, vb, k, t, alpha)[0], (i, sol)
-            assert _d2_slack(va, vb, k, t, alpha * (1.0 - 1e-6))[0] < 0, (i, sol)
+            assert not _beta_window_feasible(va, vb, k, t, alpha * (1.0 - 1e-6), 0.0), (i, sol)
         if i % 3 == 0:
             gamma2 = (s / d2 - 1.0) / s
             want = max(0.5 * math.log2(va / d1), 0.5 * math.log2(1.0 + gamma2 * va))
@@ -514,6 +520,47 @@ def test_forward_programs_without_a_meet_d2_with_their_own_auxiliary(vb, d2):
             assert (sol.r1, sol.branch) == (0.0, "const_u" if vb <= d2 else "beta_only")
             assert stats.rate_u <= r2 + 1e-12
             assert stats.var_s_given_u <= d2 * (1 + 1e-9)
+
+
+def test_forward_program_answers_every_query_its_threshold_admits():
+    # A tolerance of 1e-9*max(1, k t) on the D2 margin refused 24 of these
+    # at large variances, e.g. (va, vb) = (1, 1000), d2 = 0.999 s at
+    # r2 = thr - 1e-12, with "no feasible auxiliary found", and let through
+    # auxiliaries breaking D2 by up to 3.4e-8 relative
+    for va, vb, f, dr in itertools.product((0.001, 1.0, 10.0, 100.0), (0.0, 1.0, 1e3, 1e5),
+                                           (0.999, 0.9995, 0.99999, 0.5, 0.01),
+                                           (-1e-12, 0.0, 1e-9, 0.3)):
+        s = va + vb
+        d2 = f * s
+        _answered_within_both_constraints(GaussianCascadeSource(va, vb, 1.0), 0.25 * va,
+                                          d2, 0.5 * math.log2(s / d2) + dr)
+
+
+def test_forward_program_at_small_variances_matches_unit_scale():
+    # the absolute floor of that tolerance admitted a stationary alpha at
+    # 2^-20 scale: r1 = 0.95191 against 1.01250, with D2 broken by 3.5 %
+    q = (0.013197783189622234, 0.012559172757444155, 0.006968728109027255,
+         0.003526904421006243)
+    r2 = 1.4378609534248576
+    unit = _answered_within_both_constraints(GaussianCascadeSource(q[0], q[1], 1.0),
+                                             q[2], q[3], r2)
+    va, vb, d1, d2 = (2.0 ** -20 * x for x in q)
+    small = _answered_within_both_constraints(GaussianCascadeSource(va, vb, 1.0), d1, d2, r2)
+    assert unit.r1 == pytest.approx(1.0125011871298, abs=1e-12)
+    assert (small.r1, small.branch) == (unit.r1, unit.branch)
+
+
+def test_forward_program_is_scale_invariant():
+    # scaling every variance and distortion by c leaves r1 alone; the
+    # tolerance's absolute floor moved it by up to 0.06 bits
+    rng = np.random.default_rng(43)
+    for i in range(1000):
+        va, vb, d1, d2, _ = _forward_query(rng, i)
+        r2 = 0.5 * math.log2((va + vb) / d2) + 10.0 ** rng.uniform(-6, 0.5)
+        want = cascade_min_r1(GaussianCascadeSource(va, vb, 1.0), d1, d2, r2).r1
+        for c in (2.0 ** -20, 1e-3, 1e3, 2.0 ** 20):
+            got = cascade_min_r1(GaussianCascadeSource(c * va, c * vb, 1.0), c * d1, c * d2, r2)
+            assert abs(got.r1 - want) <= 1e-11, (i, c, got, want)
 
 
 @pytest.mark.parametrize("call, message", [

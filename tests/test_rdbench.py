@@ -40,7 +40,9 @@ def test_benchmark_workload_runs_one_round_correctly(workload):
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_traced_round_of_each_workload_finds_every_wrapped_layer(workload):
     """A traced round reports as absent only the layers of the Gaussian grid,
-    which the closed form replaced, so a rename in the program that drops
+    which the closed form replaced, and `gaussian.feasible_evals`, whose
+    `_feasible` the closed-form forward solve deleted (the next benchmark
+    change drops these metrics), so a rename in the program that drops
     another traced layer fails here."""
     proc = subprocess.run([sys.executable, "rdbench/run.py", "--workload", workload,
                            "--seed", "1", "--seconds", "0", "--trace", "1"], cwd=ROOT,
@@ -50,4 +52,5 @@ def test_traced_round_of_each_workload_finds_every_wrapped_layer(workload):
     assert (last["correct"], last["failed"]) == (True, 0), proc.stdout + proc.stderr
     absent = [ln for ln in proc.stderr.splitlines() if ln.startswith("absent (")]
     assert len(absent) == 1 and absent[0].split(": ", 1)[1] == (
-        "gaussian.grid_calls, gaussian.grid_ms, gaussian.refine_ms"), proc.stderr
+        "gaussian.grid_calls, gaussian.grid_ms, gaussian.refine_ms, "
+        "gaussian.feasible_evals"), proc.stderr
